@@ -1,13 +1,17 @@
 #!/usr/bin/env python3
 """Rebuild the diagram and heatmap figures from the committed example graphs.
 
-Writes SVGs and diagram JSON to out/figures/. The console output summarizes
-the qualitative features each construction exposes on data/figures_graph.txt,
-and the query point at which the two extended weightings disagree.
+Writes SVGs and diagram JSON to out/figures/, or to the directory given as
+the only argument. The console output summarizes the qualitative features
+each construction exposes on data/figures_graph.txt, and the query point at
+which the two extended weightings disagree.
+
+    python scripts/regen_figures.py [OUT_DIR]
 """
 
 from __future__ import annotations
 
+import argparse
 import sys
 from pathlib import Path
 
@@ -28,7 +32,12 @@ from graphtda.persistence import ExtendedPersistence, reduce  # noqa: E402
 
 
 def main() -> int:
-    out_dir = ROOT / "out" / "figures"
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument(
+        "out_dir", nargs="?", type=Path, default=ROOT / "out" / "figures",
+        help="where to write the figures (default: out/figures)",
+    )
+    out_dir = parser.parse_args().out_dir
     out_dir.mkdir(parents=True, exist_ok=True)
 
     g = parse_graph((ROOT / "data" / "figures_graph.txt").read_text())

@@ -10,9 +10,10 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Iterable
 
-from .graphs import WeightedGraph, _adjacency_masks, complement, edge
+from .graphs import WeightedGraph, complement, edge
 
 Simplex = tuple[str, ...]
+NEG_INF = float("-inf")
 
 
 def simplex(vertices: Iterable[str]) -> Simplex:
@@ -119,47 +120,148 @@ def _closure(facets: Iterable[Iterable[str]], max_dim: int | None = None) -> set
     return out
 
 
-def _iter_bits(mask: int):
+# Every construction is a family of vertex sets closed under subsets. One
+# level-wise enumerator builds each of them together with its filtration
+# values (the rules are stated in filtrations.py); the *_complex functions drop
+# the values, reading an edge without a weight as weight 0.
+
+Family = dict[Simplex, float]
+
+
+def _bits(mask: int):
+    """Indices of the set bits of mask, ascending."""
     while mask:
         b = mask & -mask
         yield b.bit_length() - 1
         mask ^= b
 
 
-def _maximal_cliques(adj: list[int]) -> list[int]:
-    """Maximal cliques as vertex bitmasks (Bron-Kerbosch with pivoting)."""
-    n = len(adj)
-    out: list[int] = []
-    if n == 0:
-        return out
-
-    def expand(r: int, p: int, x: int):
-        if not p and not x:
-            out.append(r)
-            return
-        pivot, best = -1, -1
-        for u in _iter_bits(p | x):
-            score = (p & adj[u]).bit_count()
-            if score > best:
-                pivot, best = u, score
-        for v in _iter_bits(p & ~adj[pivot]):
-            b = 1 << v
-            expand(r | b, p & adj[v], x & adj[v])
-            p ^= b
-            x |= b
-
-    expand(0, (1 << n) - 1, 0)
-    return out
+def _tables(g: WeightedGraph) -> tuple[list[int], list[dict[int, float]]]:
+    """Adjacency bitmasks and per-vertex {neighbor index: weight} over the sorted vertices."""
+    idx = {v: i for i, v in enumerate(g.vertices)}
+    rows: list[dict[int, float]] = [{} for _ in g.vertices]
+    for e in g.edges:
+        a, b = idx[e[0]], idx[e[1]]
+        rows[a][b] = rows[b][a] = g.weight.get(e, 0.0)
+    return [sum(1 << j for j in row) for row in rows], rows
 
 
-def _masks_to_facets(masks: Iterable[int], labels: tuple[str, ...]) -> list[Simplex]:
-    return [tuple(sorted(labels[i] for i in _iter_bits(m))) for m in masks]
+def _above(i: int) -> int:
+    """Mask of the vertex indices greater than i."""
+    return -1 << (i + 1)
+
+
+def _levelwise(g: WeightedGraph, roots, grow, max_dim: int | None) -> Family:
+    """Every simplex grown from the roots, with its value, in (dimension, label) order.
+
+    roots lists (index, value, state) for the admitted vertices. For a simplex
+    s with value x, grow(s, x, state) yields (v, value, state) for each vertex
+    index v > s[-1] whose addition keeps s in the family. Only the states of
+    the current level are held. Vertex labels are sorted, so index order is
+    label order and every tuple comes out canonical.
+    """
+    labels = g.vertices
+    top = len(labels) if max_dim is None else max_dim + 1  # vertices in the largest simplex
+    level = [((i,), x, state) for i, x, state in roots]
+    found: Family = {}
+    for size in range(1, top + 1):
+        found.update([(tuple([labels[i] for i in s]), x) for s, x, _ in level])
+        if size < top:
+            level = [
+                (s + (v,), y, child)
+                for s, x, state in level
+                for v, y, child in grow(s, x, state)
+            ]
+    return found
+
+
+def _vertex_value(row: dict[int, float]) -> float:
+    return min(row.values(), default=NEG_INF)
+
+
+def _clique_family(g: WeightedGraph, max_dim: int | None = None) -> Family:
+    """Cliques of g; a clique enters at the maximum weight over its edges.
+
+    The state is the mask of common neighbors above the last vertex.
+    """
+    adj, w = _tables(g)
+    above = [adj[i] & _above(i) for i in range(len(adj))]
+
+    def grow(s, x, common):
+        for v in _bits(common):
+            row = w[v]
+            yield v, max(x, max([row[u] for u in s])), common & above[v]
+
+    roots = [(i, _vertex_value(w[i]), above[i]) for i in range(len(adj))]
+    return _levelwise(g, roots, grow, max_dim)
+
+
+def _neighborhood_family(g: WeightedGraph, max_dim: int | None = None) -> Family:
+    """Subsets of closed neighborhoods of g, each entering at its earliest witness.
+
+    The state maps every witness c with s inside N[c] to the largest weight
+    among the edges from c to the other members of s; the value is the least
+    of those maxima.
+    """
+    adj, w = _tables(g)
+    closed = [adj[i] | 1 << i for i in range(len(adj))]
+
+    def grow(s, x, witnesses):
+        reach = 0
+        for c in witnesses:
+            reach |= closed[c]
+        for v in _bits(reach & _above(s[-1])):
+            row = w[v]
+            child = {
+                c: t if c == v else max(t, row[c])
+                for c, t in witnesses.items()
+                if closed[c] >> v & 1
+            }
+            yield v, min(child.values()), child
+
+    roots = [(i, _vertex_value(w[i]), {i: NEG_INF, **w[i]}) for i in range(len(adj))]
+    return _levelwise(g, roots, grow, max_dim)
+
+
+_ENCLAVELESS_VERTEX_GUARD = 20
+
+
+def _enclaveless_family(g: WeightedGraph, max_dim: int | None = None) -> Family:
+    """Enclaveless vertex sets of g, each entering once every member keeps an outside neighbor.
+
+    The value is the maximum over members of the weight of their lightest edge
+    leaving the set. The state is the member mask. Adding v can only take the
+    last outside neighbor from v itself and from members adjacent to v, so
+    only those are checked and re-valued.
+    """
+    n = len(g.vertices)
+    if n > _ENCLAVELESS_VERTEX_GUARD:
+        raise ValueError(
+            f"enclaveless_complex refuses {n} vertices, beyond the guard of "
+            f"{_ENCLAVELESS_VERTEX_GUARD}: without a dimension cap the complex of "
+            f"the complete graph K_n already has 2^n - 2 simplices"
+        )
+    adj, w = _tables(g)
+    by_weight = [sorted(row, key=row.__getitem__) for row in w]
+    live = sum(1 << i for i in range(n) if adj[i])
+
+    def lightest_out(x: int, mask: int) -> float:
+        return next(w[x][u] for u in by_weight[x] if not mask >> u & 1)
+
+    def grow(s, x, mask):
+        for v in _bits(live & _above(s[-1])):
+            grown = mask | 1 << v
+            touched = list(_bits((adj[v] & mask) | 1 << v))
+            if all(adj[t] & ~grown for t in touched):
+                yield v, max(x, max([lightest_out(t, grown) for t in touched])), grown
+
+    roots = [(i, _vertex_value(w[i]), 1 << i) for i in _bits(live)]
+    return _levelwise(g, roots, grow, max_dim)
 
 
 def clique_complex(g: WeightedGraph, max_dim: int | None = None) -> SimplicialComplex:
     """Complex of all cliques of g, optionally capped at max_dim."""
-    masks = _maximal_cliques(_adjacency_masks(g))
-    return SimplicialComplex.from_facets(_masks_to_facets(masks, g.vertices), max_dim)
+    return SimplicialComplex(_clique_family(g, max_dim))
 
 
 def neighborhood_complex(g: WeightedGraph, max_dim: int | None = None) -> SimplicialComplex:
@@ -168,53 +270,20 @@ def neighborhood_complex(g: WeightedGraph, max_dim: int | None = None) -> Simpli
     The neighborhood of v contains v itself, so every vertex appears even
     when isolated. Facets are the inclusion-maximal closed neighborhoods.
     """
-    nbhds = sorted({tuple(sorted({v} | set(g.adjacency(v)))) for v in g.vertices})
-    nbhds.sort(key=len, reverse=True)
-    maximal: list[Simplex] = []
-    for cand in nbhds:
-        cs = set(cand)
-        if not any(cs <= set(m) for m in maximal):
-            maximal.append(cand)
-    return SimplicialComplex.from_facets(maximal, max_dim)
-
-
-_ENCLAVELESS_VERTEX_GUARD = 20
+    return SimplicialComplex(_neighborhood_family(g, max_dim))
 
 
 def enclaveless_complex(g: WeightedGraph, max_dim: int | None = None) -> SimplicialComplex:
     """Complex of enclaveless vertex sets of g.
 
     A set Y is enclaveless when every member keeps a neighbor outside Y,
-    equivalently when the complement of Y is dominating. Maximal enclaveless
-    sets are the complements of minimal dominating sets, found by exhaustive
-    subset search; graphs beyond 20 vertices are refused, desk scale only.
+    equivalently when the complement of Y is dominating; the facets are the
+    complements of the minimal dominating sets. Simplices are grown one vertex
+    at a time, so the work is proportional to the output. Graphs beyond 20
+    vertices are refused whatever max_dim: uncapped, the complex of K_n has
+    2^n - 2 simplices.
     """
-    n = len(g.vertices)
-    if n > _ENCLAVELESS_VERTEX_GUARD:
-        raise ValueError(
-            f"enclaveless_complex enumerates all 2^n vertex subsets; "
-            f"{n} vertices exceeds the guard of {_ENCLAVELESS_VERTEX_GUARD}"
-        )
-    if n == 0:
-        return SimplicialComplex()
-    adj = _adjacency_masks(g)
-    closed = [adj[i] | (1 << i) for i in range(n)]
-    full = (1 << n) - 1
-
-    def dominated(x: int) -> int:
-        cover = 0
-        for i in _iter_bits(x):
-            cover |= closed[i]
-        return cover
-
-    minimal_dominating = []
-    for x in range(1, full + 1):
-        if dominated(x) != full:
-            continue
-        if all(dominated(x ^ (1 << i)) != full for i in _iter_bits(x)):
-            minimal_dominating.append(x)
-    facets = [full ^ x for x in minimal_dominating if full ^ x]
-    return SimplicialComplex.from_facets(_masks_to_facets(facets, g.vertices), max_dim)
+    return SimplicialComplex(_enclaveless_family(g, max_dim))
 
 
 def independent_complex(g: WeightedGraph, max_dim: int | None = None) -> SimplicialComplex:
@@ -228,21 +297,21 @@ def _chain_label(s: Simplex) -> str:
 
 
 def barycentric_subdivision(k: SimplicialComplex) -> SimplicialComplex:
-    """Barycentric subdivision: one vertex per simplex, simplices are inclusion chains."""
+    """Barycentric subdivision: one vertex per simplex, simplices are inclusion chains.
+
+    The chains are the cliques of the comparability graph, built on the chain
+    labels so that the clique enumeration sees them in label order.
+    """
     sims = sorted(k.simplices, key=lambda s: (len(s), s))
-    if not sims:
-        return SimplicialComplex()
     sets = [frozenset(s) for s in sims]
-    n = len(sims)
-    adj = [0] * n
-    for i in range(n):
-        for j in range(i + 1, n):
-            if sets[i] < sets[j] or sets[j] < sets[i]:
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
-    labels = tuple(_chain_label(s) for s in sims)
-    chains = _maximal_cliques(adj)
-    return SimplicialComplex.from_facets(_masks_to_facets(chains, labels))
+    labels = [_chain_label(s) for s in sims]
+    comparable = [
+        (labels[i], labels[j])
+        for i in range(len(sims))
+        for j in range(i + 1, len(sims))
+        if sets[i] < sets[j]
+    ]
+    return clique_complex(WeightedGraph(labels, comparable))
 
 
 def one_skeleton(k: SimplicialComplex) -> WeightedGraph:

@@ -20,17 +20,16 @@ from types import MappingProxyType
 from typing import Mapping
 
 from .complexes import (
+    Family,
     Simplex,
     SimplicialComplex,
-    clique_complex,
-    enclaveless_complex,
-    neighborhood_complex,
+    _clique_family,
+    _enclaveless_family,
+    _neighborhood_family,
 )
-from .graphs import WeightedGraph, _adjacency_masks, _vertex_index, edge
-from .parallel import map_ordered
+from .graphs import WeightedGraph, edge
 
 INF = float("inf")
-NEG_INF = float("-inf")
 
 
 class FilteredComplex:
@@ -94,26 +93,13 @@ class FilteredComplex:
         return f"FilteredComplex({len(self._values)} simplices)"
 
 
-def _weight_table(g: WeightedGraph) -> tuple[dict[str, int], list[list[float]]]:
-    idx = _vertex_index(g)
-    n = len(g.vertices)
-    w = [[INF] * n for _ in range(n)]
-    for (u, v), x in g.weight.items():
-        w[idx[u]][idx[v]] = x
-        w[idx[v]][idx[u]] = x
-    return idx, w
-
-
 def _require_weighted(g: WeightedGraph, what: str):
     if not g.is_weighted:
         raise ValueError(f"{what} requires a fully weighted graph")
 
 
-def _vertex_rule(g: WeightedGraph, v: str) -> float:
-    nbrs = g.adjacency(v)
-    if not nbrs:
-        return NEG_INF
-    return min(g.weight[edge(v, u)] for u in nbrs)
+def _filtered(family: Family) -> FilteredComplex:
+    return FilteredComplex(SimplicialComplex(family), family)
 
 
 def filter_clique(g: WeightedGraph, max_dim: int | None = None) -> FilteredComplex:
@@ -123,16 +109,7 @@ def filter_clique(g: WeightedGraph, max_dim: int | None = None) -> FilteredCompl
     clique; vertices follow the minimum-incident-weight rule.
     """
     _require_weighted(g, "filter_clique")
-    k = clique_complex(g, max_dim)
-    idx, w = _weight_table(g)
-
-    def value(s: Simplex) -> float:
-        if len(s) == 1:
-            return _vertex_rule(g, s[0])
-        ids = [idx[v] for v in s]
-        return max(w[a][b] for a, b in combinations(ids, 2))
-
-    return _assign(k, value)
+    return _filtered(_clique_family(g, max_dim))
 
 
 def filter_neighborhood(g: WeightedGraph, max_dim: int | None = None) -> FilteredComplex:
@@ -144,28 +121,7 @@ def filter_neighborhood(g: WeightedGraph, max_dim: int | None = None) -> Filtere
     simplex) the largest weight among the edges from w.
     """
     _require_weighted(g, "filter_neighborhood")
-    k = neighborhood_complex(g, max_dim)
-    idx, w = _weight_table(g)
-    adj = _adjacency_masks(g)
-    n = len(g.vertices)
-
-    def value(s: Simplex) -> float:
-        if len(s) == 1:
-            return _vertex_rule(g, s[0])
-        smask = 0
-        for v in s:
-            smask |= 1 << idx[v]
-        best = INF
-        for cand in range(n):
-            others = smask & ~(1 << cand)
-            if others & ~adj[cand]:
-                continue
-            t = max(w[cand][u] for u in _bits(others))
-            if t < best:
-                best = t
-        return best
-
-    return _assign(k, value)
+    return _filtered(_neighborhood_family(g, max_dim))
 
 
 def filter_enclaveless(g: WeightedGraph, max_dim: int | None = None) -> FilteredComplex:
@@ -176,39 +132,7 @@ def filter_enclaveless(g: WeightedGraph, max_dim: int | None = None) -> Filtered
     outside it: the max over members of the min outgoing edge weight.
     """
     _require_weighted(g, "filter_enclaveless")
-    k = enclaveless_complex(g, max_dim)
-    idx, w = _weight_table(g)
-    adj = _adjacency_masks(g)
-
-    def value(s: Simplex) -> float:
-        if len(s) == 1:
-            return _vertex_rule(g, s[0])
-        smask = 0
-        for v in s:
-            smask |= 1 << idx[v]
-        worst = NEG_INF
-        for v in s:
-            i = idx[v]
-            outside = adj[i] & ~smask
-            t = min(w[i][u] for u in _bits(outside))
-            if t > worst:
-                worst = t
-        return worst
-
-    return _assign(k, value)
-
-
-def _bits(mask: int):
-    while mask:
-        b = mask & -mask
-        yield b.bit_length() - 1
-        mask ^= b
-
-
-def _assign(k: SimplicialComplex, value) -> FilteredComplex:
-    order = sorted(k.simplices, key=lambda s: (len(s), s))
-    vals = map_ordered(value, order)
-    return FilteredComplex(k, dict(zip(order, vals)))
+    return _filtered(_enclaveless_family(g, max_dim))
 
 
 def extend_weights(g: WeightedGraph) -> WeightedGraph:

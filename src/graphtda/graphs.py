@@ -264,16 +264,3 @@ def isomorphisms(g: WeightedGraph, h: WeightedGraph) -> Iterator[dict[str, str]]
 
     yield from search(0)
 
-
-def _vertex_index(g: WeightedGraph) -> dict[str, int]:
-    return {v: i for i, v in enumerate(g.vertices)}
-
-
-def _adjacency_masks(g: WeightedGraph) -> list[int]:
-    """Adjacency as bitmasks over the sorted vertex order (internal helper)."""
-    idx = _vertex_index(g)
-    masks = [0] * len(g.vertices)
-    for u, v in g.edges:
-        masks[idx[u]] |= 1 << idx[v]
-        masks[idx[v]] |= 1 << idx[u]
-    return masks

@@ -29,6 +29,20 @@ def random_weighted_graph(
     return WeightedGraph(vs, ws.keys(), ws)
 
 
+def small_graphs(rng: random.Random, count: int) -> list[WeightedGraph]:
+    """Integer-weighted graphs on at most 9 vertices, with isolated vertices
+    and edgeless graphs among them."""
+    fixed = [
+        WeightedGraph(["a"]),
+        WeightedGraph(["a", "b", "c"]),
+        WeightedGraph("abcz", [("a", "b"), ("b", "c")], {("a", "b"): 2.0, ("b", "c"): 1.0}),
+    ]
+    return fixed + [
+        random_weighted_graph(rng, min_n=1, max_n=9, p=(0.0, 0.8), weights="int")
+        for _ in range(count)
+    ]
+
+
 def nested_graph_pair(
     rng: random.Random, max_n: int = 10
 ) -> tuple[WeightedGraph, WeightedGraph]:

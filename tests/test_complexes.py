@@ -26,6 +26,7 @@ from oracles import (
     has_triangle,
     oracle_betti,
 )
+from randutil import small_graphs
 from strategies import complexes, graphs, nested_graphs
 
 
@@ -272,6 +273,29 @@ class TestConstructionInvariants:
         assert neighborhood_complex(g).simplices <= neighborhood_complex(h).simplices
         assert enclaveless_complex(g).simplices <= enclaveless_complex(h).simplices
         assert independent_complex(h).simplices <= independent_complex(g).simplices
+
+    def test_capped_families_match_bruteforce(self):
+        for g in small_graphs(random.Random(41), 30):
+            vs = g.vertices
+            subsets = [frozenset(c) for k in range(1, len(vs) + 1) for c in combinations(vs, k)]
+            closed = [g.adjacency(v) | {v} for v in vs]
+
+            def edges_within(s):
+                return [p for p in combinations(sorted(s), 2) if g.has_edge(*p)]
+
+            families = {
+                clique_complex: {
+                    s for s in subsets if len(edges_within(s)) == len(s) * (len(s) - 1) // 2
+                },
+                independent_complex: {s for s in subsets if not edges_within(s)},
+                neighborhood_complex: {s for s in subsets if any(s <= c for c in closed)},
+                enclaveless_complex: enclaveless_sets_bruteforce(g),
+            }
+            for build, family in families.items():
+                for cap in (None, 0, 1, 2, 3, 4):
+                    expect = {s for s in family if cap is None or len(s) <= cap + 1}
+                    got = {frozenset(s) for s in build(g, cap).simplices}
+                    assert got == expect, (build.__name__, g.sorted_edges(), cap)
 
     def test_hereditary_enclaveless(self):
         rng = random.Random(11)

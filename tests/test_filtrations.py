@@ -9,6 +9,7 @@ from graphtda import (
     SimplicialComplex,
     WeightedGraph,
     clique_complex,
+    edge,
     enclaveless_complex,
     extend_weights,
     extended_pair,
@@ -20,7 +21,7 @@ from graphtda import (
     threshold_subgraph,
 )
 from oracles import SmallestTOracle
-from randutil import random_weighted_graph
+from randutil import random_weighted_graph, small_graphs
 from strategies import graphs
 
 INF = float("inf")
@@ -222,3 +223,26 @@ class TestFiltrationInvariants:
                 for s, v in fc.value.items():
                     if len(s) > 1:
                         assert fn(s) == v, (s, v)
+
+    def test_capped_values_match_definitions(self):
+        for g in small_graphs(random.Random(43), 25):
+            oracle = SmallestTOracle(g)
+
+            def vertex_rule(v):
+                return min((g.weight[edge(v, u)] for u in g.adjacency(v)), default=-INF)
+
+            def clique_value(s):
+                return max(g.weight[p] for p in combinations(s, 2))
+
+            cases = (
+                (filter_clique, clique_complex, clique_value),
+                (filter_neighborhood, neighborhood_complex, oracle.nb_value),
+                (filter_enclaveless, enclaveless_complex, oracle.el_value),
+            )
+            for build, plain, value in cases:
+                for cap in (None, 0, 1, 2, 3, 4):
+                    fc = build(g, cap)
+                    assert fc.complex == plain(g, cap)
+                    for s, v in fc.value.items():
+                        expect = vertex_rule(s[0]) if len(s) == 1 else value(s)
+                        assert v == expect, (build.__name__, g.sorted_edges(), cap, s)

@@ -12,12 +12,7 @@ import math
 import sys
 
 from . import serialize, svg
-from .complexes import (
-    clique_complex,
-    enclaveless_complex,
-    independent_complex,
-    neighborhood_complex,
-)
+from .complexes import independent_complex
 from .filtrations import (
     extended_pair,
     filter_clique,
@@ -41,13 +36,7 @@ _FILTERED = {
     "neighborhood": filter_neighborhood,
     "enclaveless": filter_enclaveless,
 }
-_COMPLEX_ONLY = {
-    "clique": clique_complex,
-    "neighborhood": neighborhood_complex,
-    "enclaveless": enclaveless_complex,
-    "independent": independent_complex,
-}
-CONSTRUCTIONS = tuple(sorted(_COMPLEX_ONLY))
+CONSTRUCTIONS = tuple(sorted([*_FILTERED, "independent"]))
 
 
 def _read_text(path: str) -> str:
@@ -91,14 +80,18 @@ def sample_coordinates(values: tuple[float, ...]) -> list[float]:
     return coords
 
 
+def _check_extended(construction: str) -> None:
+    if construction not in ("clique", "independent"):
+        raise UsageError(
+            "extended mode pairs cliques with independent sets; "
+            f"--construction {construction} does not apply"
+        )
+
+
 def cmd_build(args) -> int:
     g = _load_graph(args.input)
     if args.extended:
-        if args.construction not in ("clique", "independent"):
-            raise UsageError(
-                "extended mode pairs cliques with independent sets; "
-                f"--construction {args.construction} does not apply"
-            )
+        _check_extended(args.construction)
         pair = extended_pair(g, args.max_dim)
         doc = {
             "ascending": serialize.filtered_to_doc(pair.ascending),
@@ -119,11 +112,7 @@ def cmd_build(args) -> int:
 def cmd_persist(args) -> int:
     g = _load_graph(args.input)
     if args.extended:
-        if args.construction not in ("clique", "independent"):
-            raise UsageError(
-                "extended mode pairs cliques with independent sets; "
-                f"--construction {args.construction} does not apply"
-            )
+        _check_extended(args.construction)
         if args.format != "json":
             raise UsageError("extended output carries PBN grids and is JSON only")
         # One extra dimension in the complexes keeps every emitted degree exact.

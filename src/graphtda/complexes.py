@@ -33,19 +33,28 @@ def simplex(vertices: Iterable[str]) -> Simplex:
 class SimplicialComplex:
     """Finite abstract simplicial complex.
 
-    Stored as a frozenset of sorted vertex tuples. Construction verifies
-    downward closure (every codimension-1 face present, which implies full
-    closure). The empty complex is allowed and has dimension -1.
+    Stored as its sorted vertex tuples in canonical (dimension, label) order,
+    each with the positions in that order of its codimension-1 faces. Finding
+    every such face present at construction verifies downward closure, which
+    implies full closure. The empty complex is allowed and has dimension -1.
     """
 
     def __init__(self, simplices: Iterable[Iterable[str]] = ()):
         ss = frozenset(simplex(s) for s in simplices)
-        for s in ss:
-            if len(s) > 1:
-                for f in combinations(s, len(s) - 1):
-                    if f not in ss:
-                        raise ValueError(f"not closed under faces: {f} missing below {s}")
+        order = sorted(ss)
+        order.sort(key=len)
+        position = {s: i for i, s in enumerate(order)}
+        faces: list[tuple[int, ...]] = []
+        for s in order:
+            below = combinations(s, len(s) - 1) if len(s) > 1 else ()
+            try:
+                faces.append(tuple([position[f] for f in below]))
+            except KeyError as exc:
+                f = exc.args[0]
+                raise ValueError(f"not closed under faces: {f} missing below {s}") from None
         self._simplices = ss
+        self._order = order
+        self._faces = faces
         self._facets: tuple[Simplex, ...] | None = None
         self._vertices: tuple[str, ...] | None = None
 
@@ -68,26 +77,18 @@ class SimplicialComplex:
 
     @property
     def dim(self) -> int:
-        return max((len(s) for s in self._simplices), default=0) - 1
+        return len(self._order[-1]) - 1 if self._order else -1
 
     @property
     def facets(self) -> tuple[Simplex, ...]:
-        """Inclusion-maximal simplices, lexicographically sorted."""
+        """Inclusion-maximal simplices, lexicographically sorted: those that are nobody's face."""
         if self._facets is None:
-            vs = self.vertices
-            out = []
-            for s in self._simplices:
-                member = set(s)
-                if not any(
-                    v not in member and tuple(sorted(s + (v,))) in self._simplices
-                    for v in vs
-                ):
-                    out.append(s)
-            self._facets = tuple(sorted(out))
+            covered = {f for fs in self._faces for f in fs}
+            self._facets = tuple(sorted(s for i, s in enumerate(self._order) if i not in covered))
         return self._facets
 
     def simplices_of_dim(self, r: int) -> tuple[Simplex, ...]:
-        return tuple(sorted(s for s in self._simplices if len(s) == r + 1))
+        return tuple(s for s in self._order if len(s) == r + 1)
 
     def __contains__(self, s) -> bool:
         return tuple(sorted(s)) in self._simplices
@@ -96,7 +97,7 @@ class SimplicialComplex:
         return len(self._simplices)
 
     def __iter__(self):
-        return iter(sorted(self._simplices, key=lambda s: (len(s), s)))
+        return iter(self._order)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SimplicialComplex):
@@ -302,7 +303,7 @@ def barycentric_subdivision(k: SimplicialComplex) -> SimplicialComplex:
     The chains are the cliques of the comparability graph, built on the chain
     labels so that the clique enumeration sees them in label order.
     """
-    sims = sorted(k.simplices, key=lambda s: (len(s), s))
+    sims = list(k)
     sets = [frozenset(s) for s in sims]
     labels = [_chain_label(s) for s in sims]
     comparable = [

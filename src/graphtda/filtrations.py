@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
 from types import MappingProxyType
 from typing import Mapping
 
@@ -38,30 +37,35 @@ class FilteredComplex:
     The value map must be total and satisfy value(face) <= value(simplex);
     both are enforced at construction, so downstream reductions can trust
     their input. Values are extended reals (finite or the +-inf sentinels).
+    They are checked and stored by position in the complex's canonical
+    (dimension, label) order, and the filtration order is those positions
+    stably sorted by value, so ties break by dimension, then label.
     """
 
     def __init__(self, complex: SimplicialComplex, values: Mapping[Simplex, float]):
-        vals: dict[Simplex, float] = {}
-        for s in complex.simplices:
+        order = complex._order
+        levels: list[float] = []
+        for s in order:
             if s not in values:
                 raise ValueError(f"no value assigned to simplex {s}")
             v = float(values[s])
             if math.isnan(v):
                 raise ValueError(f"value for simplex {s} is NaN")
-            vals[s] = v
-        if len(values) != len(vals):
-            extra = set(values) - set(vals)
+            levels.append(v)
+        if len(values) != len(levels):
+            extra = set(values) - complex.simplices
             raise ValueError(f"values given for simplices outside the complex: {sorted(extra)[:3]}")
-        for s in complex.simplices:
-            if len(s) > 1:
-                for f in combinations(s, len(s) - 1):
-                    if vals[f] > vals[s]:
-                        raise ValueError(
-                            f"not monotone: value({f}) = {vals[f]} > value({s}) = {vals[s]}"
-                        )
+        for i, faces in enumerate(complex._faces):
+            for f in faces:
+                if levels[f] > levels[i]:
+                    raise ValueError(
+                        f"not monotone: value({order[f]}) = {levels[f]} > "
+                        f"value({order[i]}) = {levels[i]}"
+                    )
         self._complex = complex
-        self._values = vals
-        self._sorted = sorted(vals, key=lambda s: (vals[s], len(s), s))
+        self._levels = levels
+        self._values = dict(zip(order, levels))
+        self._filtration = sorted(range(len(levels)), key=levels.__getitem__)
 
     @property
     def complex(self) -> SimplicialComplex:
@@ -73,7 +77,8 @@ class FilteredComplex:
 
     def sorted_simplices(self) -> list[Simplex]:
         """Simplices in filtration order: by value, then dimension, then label."""
-        return list(self._sorted)
+        order = self._complex._order
+        return [order[i] for i in self._filtration]
 
     def critical_values(self, finite_only: bool = True) -> tuple[float, ...]:
         vals = set(self._values.values())

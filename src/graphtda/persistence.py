@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Iterable
 
 from .filtrations import ExtendedPair, FilteredComplex
@@ -113,20 +112,19 @@ def reduce(fc: FilteredComplex, max_dim: int) -> list[PersistenceDiagram]:
     """
     if max_dim < 0:
         raise ValueError("max_dim must be nonnegative")
-    values = fc.value
-    order = [s for s in fc.sorted_simplices() if len(s) <= max_dim + 2]
-    index = {s: i for i, s in enumerate(order)}
-    boundary = [0] * len(order)
-    for i, s in enumerate(order):
-        if len(s) > 1:
-            mask = 0
-            for f in combinations(s, len(s) - 1):
-                mask |= 1 << index[f]
-            boundary[i] = mask
-
+    simplices, faces, levels = fc.complex._order, fc.complex._faces, fc._levels
+    order = [p for p in fc._filtration if len(simplices[p]) <= max_dim + 2]
+    # Faces precede their cofaces in filtration order, so rank[f] is set when read.
+    rank = [0] * len(simplices)  # position in the complex -> index in order
+    boundary: list[int] = []
     by_dim: dict[int, list[int]] = {}
-    for i, s in enumerate(order):
-        by_dim.setdefault(len(s) - 1, []).append(i)
+    for i, p in enumerate(order):
+        rank[p] = i
+        mask = 0
+        for f in faces[p]:
+            mask |= 1 << rank[f]
+        boundary.append(mask)
+        by_dim.setdefault(len(simplices[p]) - 1, []).append(i)
 
     reduced: dict[int, int] = {}
     pair_of: dict[int, int] = {}
@@ -156,9 +154,9 @@ def reduce(fc: FilteredComplex, max_dim: int) -> list[PersistenceDiagram]:
         for i in by_dim.get(r, ()):
             if i in deaths:
                 continue  # negative simplex: kills an (r-1)-class
-            birth = values[order[i]]
+            birth = levels[order[i]]
             if i in pair_of:
-                death = values[order[pair_of[i]]]
+                death = levels[order[pair_of[i]]]
                 if death > birth:
                     points.append((birth, death))
             else:

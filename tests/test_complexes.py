@@ -26,7 +26,7 @@ from oracles import (
     has_triangle,
     oracle_betti,
 )
-from randutil import small_graphs
+from randutil import random_complex, small_graphs
 from strategies import complexes, graphs, nested_graphs
 
 
@@ -45,6 +45,17 @@ def petersen():
     spokes = [(str(i), str(i + 5)) for i in range(5)]
     inner = [(str(5 + i), str(5 + (i + 2) % 5)) for i in range(5)]
     return WeightedGraph([str(i) for i in range(10)], outer + spokes + inner)
+
+
+def assert_structure(k):
+    """facets, iteration order, simplices_of_dim and dim against their definitions."""
+    sims = k.simplices
+    maximal = [s for s in sims if not any(set(s) < set(t) for t in sims)]
+    assert k.facets == tuple(sorted(maximal))
+    assert list(k) == sorted(sims, key=lambda s: (len(s), s))
+    assert k.dim == max((len(s) for s in sims), default=0) - 1
+    for r in range(-1, k.dim + 2):
+        assert k.simplices_of_dim(r) == tuple(sorted(s for s in sims if len(s) == r + 1))
 
 
 class TestSimplicialComplex:
@@ -81,6 +92,19 @@ class TestSimplicialComplex:
         k = SimplicialComplex.from_facets([("a", "b")])
         assert ("b", "a") in k
         assert ("a", "z") not in k
+
+    def test_structure_on_random_complexes(self):
+        rng = random.Random(53)
+        assert_structure(SimplicialComplex())
+        for _ in range(40):
+            k = random_complex(rng, max_vertices=7, max_facets=6)
+            assert_structure(k)
+            assert_structure(SimplicialComplex.from_facets(k.facets, max_dim=rng.randint(0, 3)))
+
+    @settings(max_examples=40, deadline=None)
+    @given(complexes(max_n=6))
+    def test_structure_matches_definitions(self, k):
+        assert_structure(k)
 
 
 class TestCliqueComplex:

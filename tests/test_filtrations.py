@@ -21,7 +21,12 @@ from graphtda import (
     threshold_subgraph,
 )
 from oracles import SmallestTOracle
-from randutil import random_weighted_graph, small_graphs
+from randutil import (
+    random_complex,
+    random_filtration_values,
+    random_weighted_graph,
+    small_graphs,
+)
 from strategies import graphs
 
 INF = float("inf")
@@ -173,6 +178,14 @@ class TestFilteredComplexType:
             ("a", "b"), ("a", "c"), ("b", "c"),
             ("a", "b", "c"),
         ]
+
+    def test_sorted_order_breaks_ties_by_dimension_then_label(self):
+        rng = random.Random(61)
+        for _ in range(40):
+            k = random_complex(rng, max_vertices=7, max_facets=5)
+            values = random_filtration_values(rng, k, levels=2)
+            fc = FilteredComplex(k, values)
+            assert fc.sorted_simplices() == sorted(values, key=lambda s: (values[s], len(s), s))
 
     def test_critical_values(self):
         pair = extended_pair(PATH)

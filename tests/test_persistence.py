@@ -185,6 +185,8 @@ class TestDiagramRankDuality:
             k = random_complex(rng, max_vertices=6, max_facets=4)
             fc = FilteredComplex(k, random_filtration_values(rng, k, levels=5))
             diagrams = reduce(fc, 2)
+            for r in (0, 1):
+                assert reduce(fc, r) == diagrams[: r + 1]
             oracle = SublevelRankOracle(fc)
             crit = fc.critical_values()
             queries = [(u, v) for u in crit for v in crit if u < v]

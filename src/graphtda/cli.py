@@ -1,7 +1,8 @@
 """Command-line surface: build, persist, distance, plot.
 
-Exit codes: 0 success, 1 usage or configuration error, 2 input parse error,
-3 internal invariant violation.
+Exit codes: 0 success, 1 usage or configuration error (running out of
+memory or recursion depth included), 2 input parse error, 3 internal invariant
+violation.
 """
 
 from __future__ import annotations
@@ -264,6 +265,9 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_SHRINK_HINT = "lower --max-dim or shrink the input"
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
@@ -279,6 +283,12 @@ def main(argv=None) -> int:
         return 2
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError:
+        print(f"error: ran out of memory; {_SHRINK_HINT}", file=sys.stderr)
+        return 1
+    except RecursionError:
+        print(f"error: recursion limit reached; {_SHRINK_HINT}", file=sys.stderr)
         return 1
     except Exception as exc:  # pragma: no cover - internal invariant violations
         print(f"internal error: {exc!r}", file=sys.stderr)

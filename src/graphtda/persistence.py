@@ -1,7 +1,11 @@
 """Persistence diagrams and persistent Betti number functions.
 
 Diagrams come from the standard column reduction of the boundary matrix over
-the two-element field, with the clearing optimization. Conventions:
+the two-element field, with the clearing optimization. The matrix is reduced
+one dimension at a time: the rows of a d-column are the (d-1)-simplices in
+filtration order, and each column is built only when the reduction reaches
+it, so a column's size is set by one dimension, not the whole complex.
+Conventions:
 
 * simplices are ordered by (value, dimension, vertex labels), so ties break
   deterministically across runs and platforms;
@@ -102,9 +106,13 @@ class PersistenceDiagram:
 def reduce(fc: FilteredComplex, max_dim: int) -> list[PersistenceDiagram]:
     """Persistence diagrams of fc for degrees 0..max_dim.
 
-    Column reduction with clearing over the two-element field. Simplices above
-    dimension max_dim + 1 cannot affect the requested degrees and are skipped.
-    Monotonicity of the input is guaranteed by FilteredComplex itself.
+    Column reduction with clearing over the two-element field, one dimension
+    at a time from the top down. A d-column has a bit for each face at the
+    face's rank among the (d-1)-simplices in filtration order, so its size
+    grows with that dimension only, and it is built from the face table only
+    when the loop reaches it. Simplices above dimension max_dim + 1 cannot
+    affect the requested degrees and are skipped. Monotonicity of the input
+    is guaranteed by FilteredComplex itself.
 
     Degree max_dim is only reliable when the complex genuinely contains its
     (max_dim + 1)-simplices: a complex built with a dimension cap at or below
@@ -113,50 +121,47 @@ def reduce(fc: FilteredComplex, max_dim: int) -> list[PersistenceDiagram]:
     if max_dim < 0:
         raise ValueError("max_dim must be nonnegative")
     simplices, faces, levels = fc.complex._order, fc.complex._faces, fc._levels
-    order = [p for p in fc._filtration if len(simplices[p]) <= max_dim + 2]
-    # Faces precede their cofaces in filtration order, so rank[f] is set when read.
-    rank = [0] * len(simplices)  # position in the complex -> index in order
-    boundary: list[int] = []
-    by_dim: dict[int, list[int]] = {}
-    for i, p in enumerate(order):
-        rank[p] = i
-        mask = 0
-        for f in faces[p]:
-            mask |= 1 << rank[f]
-        boundary.append(mask)
-        by_dim.setdefault(len(simplices[p]) - 1, []).append(i)
+    top = max_dim + 1
+    by_dim: list[list[int]] = [[] for _ in range(top + 1)]
+    rank = [0] * len(simplices)  # position in the complex -> index in its by_dim list
+    for p in fc._filtration:
+        d = len(simplices[p]) - 1
+        if d <= top:
+            rank[p] = len(by_dim[d])
+            by_dim[d].append(p)
 
-    reduced: dict[int, int] = {}
+    # pair_of[p] is the simplex that kills the class born at p, both as
+    # positions in the complex; its values are the negative simplices.
     pair_of: dict[int, int] = {}
-    cleared: set[int] = set()
-    top = max(by_dim) if by_dim else -1
     for d in range(top, 0, -1):
-        for j in by_dim.get(d, ()):
-            if j in cleared:
-                continue
-            col = boundary[j]
+        rows = by_dim[d - 1]
+        pivots: dict[int, int] = {}  # low row -> reduced column owning it
+        for p in by_dim[d]:
+            if p in pair_of:
+                continue  # cleared: p is paired as a birth, so its column reduces to zero
+            col = 0
+            for f in faces[p]:
+                col |= 1 << rank[f]
             while col:
                 low = col.bit_length() - 1
-                if low not in reduced:
+                other = pivots.get(low)
+                if other is None:
+                    pivots[low] = col
+                    pair_of[rows[low]] = p
                     break
-                col ^= reduced[low]
-            if col:
-                low = col.bit_length() - 1
-                reduced[low] = col
-                pair_of[low] = j
-                cleared.add(low)
+                col ^= other
 
     deaths = set(pair_of.values())
     diagrams = []
     for r in range(max_dim + 1):
         points: list[tuple[float, float]] = []
         essential: list[float] = []
-        for i in by_dim.get(r, ()):
-            if i in deaths:
+        for p in by_dim[r]:
+            if p in deaths:
                 continue  # negative simplex: kills an (r-1)-class
-            birth = levels[order[i]]
-            if i in pair_of:
-                death = levels[order[pair_of[i]]]
+            birth = levels[p]
+            if p in pair_of:
+                death = levels[pair_of[p]]
                 if death > birth:
                     points.append((birth, death))
             else:

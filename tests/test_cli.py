@@ -314,6 +314,26 @@ class TestUsage:
             main(["--help"])
         assert exc.value.code == 0
 
+    def test_memory_error_is_resource_error(self, graph_file, monkeypatch, capsys):
+        def exhausted(*args):
+            raise MemoryError
+
+        monkeypatch.setattr("graphtda.cli.reduce", exhausted)
+        code, out, err = run(["persist", graph_file("c4.txt", C4_TEXT)], capsys)
+        assert code == 1 and out == ""
+        assert "error: ran out of memory" in err and "--max-dim" in err
+
+    def test_recursion_error_is_resource_error(self, tmp_path, monkeypatch, capsys):
+        def too_deep(*args):
+            raise RecursionError("maximum recursion depth exceeded")
+
+        monkeypatch.setattr("graphtda.metrics.bottleneck", too_deep)
+        p = tmp_path / "d.csv"
+        p.write_text("0,1.0,inf,1\n")
+        code, out, err = run(["distance", str(p), str(p), "--dimension", "0"], capsys)
+        assert code == 1 and out == ""
+        assert "error: recursion limit reached" in err and "shrink the input" in err
+
     def test_missing_dimension_selects_empty(self, tmp_path, capsys):
         # a CSV with only degree-0 rows still answers degree-1 queries
         p = tmp_path / "d.csv"

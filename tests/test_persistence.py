@@ -195,6 +195,40 @@ class TestDiagramRankDuality:
                 for u, v in queries:
                     assert diagrams[r].rank(u, v) == oracle.pbn(r, u, v)
 
+    def test_tie_heavy_filtrations(self):
+        # Two or three levels over complexes up to dimension 4: simplices of
+        # different dimensions interleave and tie throughout filtration order.
+        rng = random.Random(2011)
+        for _ in range(40):
+            vs = [f"v{i}" for i in range(rng.randint(1, 8))]
+            k = SimplicialComplex.from_facets(
+                rng.sample(vs, rng.randint(1, min(5, len(vs))))
+                for _ in range(rng.randint(1, 5))
+            )
+            fc = FilteredComplex(k, random_filtration_values(rng, k, levels=rng.choice((2, 3))))
+            top = k.dim
+            diagrams = reduce(fc, top)
+            for r in range(top):
+                assert reduce(fc, r) == diagrams[: r + 1]
+            oracle = SublevelRankOracle(fc)
+            crit = fc.critical_values()
+            queries = [(u, v) for u in crit for v in crit if u < v]
+            queries += [(u - 0.5, u + 0.5) for u in crit]
+            for r in range(top + 1):
+                for u, v in queries:
+                    assert diagrams[r].rank(u, v) == oracle.pbn(r, u, v)
+
+    def test_one_tie_block(self):
+        # Every simplex at -inf, as on the descending side of an extended pair.
+        for n in (6, 7):
+            vs = [f"v{i}" for i in range(n)]
+            for cap in range(5):
+                k = SimplicialComplex.from_facets([vs], max_dim=cap)
+                fc = FilteredComplex(k, dict.fromkeys(k.simplices, -INF))
+                diagrams = reduce(fc, cap)
+                assert all(d.points == () for d in diagrams)
+                assert tuple(d.total_essential for d in diagrams) == betti_numbers(k, cap)
+
 
 class TestExtended:
     def test_dispatch_matches_branches(self):

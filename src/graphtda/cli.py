@@ -104,8 +104,6 @@ def cmd_build(args) -> int:
         fc = _FILTERED[args.construction](g, args.max_dim)
         doc = serialize.complex_to_doc(fc.complex)
         doc["simplices"] = serialize.filtered_to_doc(fc)["simplices"]
-    if args.format != "json":
-        raise UsageError(f"build emits JSON only, not {args.format}")
     _write_output(serialize.dumps(doc), args.output)
     return 0
 
@@ -195,8 +193,6 @@ def cmd_distance(args) -> int:
 
 
 def cmd_plot(args) -> int:
-    if args.format != "svg":
-        raise UsageError(f"plot emits SVG only, not {args.format}")
     text = _read_text(args.input)
     try:
         doc = json.loads(text)
@@ -231,11 +227,10 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="graphtda", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_construction=True):
-        if needs_construction:
-            p.add_argument("--construction", choices=CONSTRUCTIONS, default="clique")
-            p.add_argument("--max-dim", dest="max_dim", type=int, default=3)
-            p.add_argument("--extended", action="store_true")
+    def common(p):
+        p.add_argument("--construction", choices=CONSTRUCTIONS, default="clique")
+        p.add_argument("--max-dim", dest="max_dim", type=int, default=3)
+        p.add_argument("--extended", action="store_true")
         p.add_argument("--output", default=None)
 
     b = sub.add_parser("build", help="construct a complex (with filtration values)")

@@ -1,17 +1,20 @@
 """Bottleneck distance between diagrams and the graph-isomorphism pseudodistance.
 
-The bottleneck optimum is exact: every candidate cost is collected (pairwise
-point costs and half-persistences of diagonal moves), then the smallest
-candidate admitting a perfect matching in the threshold bipartite graph is
-found by binary search. Essential points match only among themselves at cost
-|birth - birth'|; when the essential counts differ the distance is +inf,
-since a cornerline cannot be moved to the diagonal at finite cost.
+The bottleneck optimum is exact. Every candidate cost is collected (pairwise
+point costs and half-persistences of diagonal moves), and the smallest one
+that is feasible is found by bisection over the sorted candidates. A cost c
+is feasible when the pairs of points costing at most c have a matching that
+covers, on each side, every point whose half-persistence exceeds c; the
+other points retire to the diagonal. Essential points match only among
+themselves at cost |birth - birth'|; when the essential counts differ the
+distance is +inf, since a cornerline cannot be moved to the diagonal at
+finite cost.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from bisect import bisect_left
 
 from .graphs import WeightedGraph, isomorphisms
 from .persistence import PersistenceDiagram
@@ -62,68 +65,64 @@ def _expand_essential(d: PersistenceDiagram) -> list[float]:
     return out
 
 
-def _perfect_matching(adjacency: Sequence[Sequence[int]], right_size: int) -> bool:
-    """Kuhn's augmenting-path test for a perfect matching, left side into right."""
-    match_right = [-1] * right_size
+def _covers(sources: list[int], adjacency: dict[int, list[int]], right_size: int) -> bool:
+    """Whether one matching covers every source, by Kuhn's augmenting paths.
 
-    def try_augment(u: int, seen: list[bool]) -> bool:
-        for v in adjacency[u]:
-            if seen[v]:
+    Only sources are ever matched, so ``adjacency`` needs only their rows. The
+    alternating path lives on an explicit stack, not the interpreter's.
+    """
+    match_right = [-1] * right_size
+    for s in sources:
+        seen = [False] * right_size
+        stack, via = [(s, iter(adjacency[s]))], [-1]  # via[k]: right vertex into stack[k]
+        while stack:
+            v = next((v for v in stack[-1][1] if not seen[v]), -1)
+            if v < 0:
+                stack.pop()
+                via.pop()
                 continue
             seen[v] = True
-            if match_right[v] == -1 or try_augment(match_right[v], seen):
-                match_right[v] = u
-                return True
-        return False
-
-    for u in range(len(adjacency)):
-        if not try_augment(u, [False] * right_size):
+            via.append(v)
+            w = match_right[v]
+            if w < 0:
+                for (u, _), r in zip(stack, via[1:]):
+                    match_right[r] = u
+                break
+            stack.append((w, iter(adjacency[w])))
+        else:
             return False
     return True
 
 
 def _proper_bottleneck(pts1: list[Point], pts2: list[Point]) -> float:
     n1, n2 = len(pts1), len(pts2)
-    if n1 == 0 and n2 == 0:
-        return 0.0
     pair_cost = [[dhat(p, q) for q in pts2] for p in pts1]
     diag1 = [_half_persistence(p) for p in pts1]
     diag2 = [_half_persistence(q) for q in pts2]
 
     def feasible(c: float) -> bool:
-        # Left: pts1 then projections of pts2. Right: pts2 then projections of
-        # pts1. A point reaches only its own projection; projections pair with
-        # each other freely at zero cost.
-        size = n1 + n2
-        adjacency: list[list[int]] = []
-        for i in range(n1):
-            row = [j for j in range(n2) if pair_cost[i][j] <= c]
-            if diag1[i] <= c:
-                row.append(n2 + i)
-            adjacency.append(row)
-        projection_slots = list(range(n2, size))
-        for j in range(n2):
-            row = list(projection_slots)
-            if diag2[j] <= c:
-                row.append(j)
-            adjacency.append(row)
-        return _perfect_matching(adjacency, size)
+        # A point with half-persistence at most c may retire to the diagonal;
+        # the others are forced. c is feasible iff the pairs costing at most c
+        # have a matching M covering every forced point: unmatched points take
+        # their projections, and the |M| projection slots left free on the pts1
+        # side absorb the projections of the |M| matched pts2 points. By
+        # Mendelsohn-Dulmage, M exists iff each side's forced points can be
+        # covered on their own.
+        forced1 = [i for i in range(n1) if diag1[i] > c]
+        forced2 = [j for j in range(n2) if diag2[j] > c]
+        rows = {i: [j for j in range(n2) if pair_cost[i][j] <= c] for i in forced1}
+        if not _covers(forced1, rows, n2):
+            return False
+        cols = {j: [i for i in range(n1) if pair_cost[i][j] <= c] for j in forced2}
+        return _covers(forced2, cols, n1)
 
     candidates = {0.0}
     candidates.update(c for row in pair_cost for c in row if math.isfinite(c))
     candidates.update(c for c in diag1 if math.isfinite(c))
     candidates.update(c for c in diag2 if math.isfinite(c))
     ordered = sorted(candidates)
-    if not feasible(ordered[-1]):
-        return INF
-    lo, hi = 0, len(ordered) - 1
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if feasible(ordered[mid]):
-            hi = mid
-        else:
-            lo = mid + 1
-    return ordered[lo]
+    k = bisect_left(range(len(ordered)), True, key=lambda i: feasible(ordered[i]))
+    return ordered[k] if k < len(ordered) else INF
 
 
 def bottleneck(d1: PersistenceDiagram, d2: PersistenceDiagram) -> float:

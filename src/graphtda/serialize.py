@@ -13,7 +13,7 @@ from typing import Iterable
 
 from .complexes import SimplicialComplex
 from .filtrations import FilteredComplex
-from .persistence import PersistenceDiagram
+from .persistence import DiagramPoint, EssentialPoint, PersistenceDiagram
 
 
 class DocumentError(ValueError):
@@ -120,8 +120,6 @@ def diagram_from_doc(doc) -> PersistenceDiagram:
             (decode_value(e["birth"]), int(e.get("multiplicity", 1)))
             for e in doc.get("essential", ())
         ]
-        from .persistence import DiagramPoint, EssentialPoint
-
         return PersistenceDiagram(
             int(doc["dimension"]),
             [DiagramPoint(b, d, m) for b, d, m in points],

@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -84,6 +85,40 @@ class TestBottleneck:
             d1 = random_diagram(rng, max_points=5)
             d2 = random_diagram(rng, max_points=5)
             assert bottleneck(d1, d2) == pytest.approx(oracle_bottleneck(d1, d2), abs=0)
+
+    def test_matches_exhaustive_on_tie_heavy_pairs(self):
+        # Integer lattice points tie often at the diagonal-move boundary
+        # half-persistence == c, and infinite deaths can only be matched among
+        # themselves.
+        rng = random.Random(59)
+
+        def lattice_diagram():
+            points = []
+            for _ in range(rng.randint(0, 5)):
+                b = rng.randint(0, 4)
+                points.append((b, INF if rng.random() < 0.1 else b + rng.randint(1, 4)))
+            return PersistenceDiagram(1, points, [rng.randint(0, 4)] * rng.randint(0, 1))
+
+        for _ in range(400):
+            d1, d2 = lattice_diagram(), lattice_diagram()
+            assert bottleneck(d1, d2) == oracle_bottleneck(d1, d2)
+
+    def test_large_shifted_pair_needs_no_recursion(self):
+        # The identity matching at cost 0.25 is optimal: distinct lattice
+        # points are 1 > 2 * 0.25 apart and every persistence is at least 1.
+        rng = random.Random(61)
+        points = set()
+        while len(points) < 240:
+            b = rng.randrange(0, 200)
+            points.add((b, b + rng.randrange(1, 60)))
+        d1 = PersistenceDiagram(1, points, [0.0, 5.0])
+        d2 = PersistenceDiagram(1, [(b + 0.25, d + 0.25) for b, d in points], [0.0, 5.0])
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(200)
+        try:
+            assert bottleneck(d1, d2) == 0.25
+        finally:
+            sys.setrecursionlimit(limit)
 
     def test_metric_axioms_on_random_triples(self):
         rng = random.Random(43)

@@ -47,9 +47,6 @@ from .persistence import (
     EssentialPoint,
     ExtendedPersistence,
     PersistenceDiagram,
-    cornerpoints,
-    extended_pbn,
-    pbn,
     reduce,
 )
 
@@ -72,14 +69,12 @@ __all__ = [
     "clique_complex",
     "complement",
     "complex_isomorphic",
-    "cornerpoints",
     "csusp",
     "dhat",
     "edge",
     "enclaveless_complex",
     "extend_weights",
     "extended_pair",
-    "extended_pbn",
     "filter_clique",
     "filter_enclaveless",
     "filter_neighborhood",
@@ -90,7 +85,6 @@ __all__ = [
     "neighborhood_complex",
     "one_skeleton",
     "parse_graph",
-    "pbn",
     "pseudodistance_iso",
     "reduce",
     "simplex",

@@ -152,18 +152,29 @@ def cmd_persist(args) -> int:
     return 0
 
 
-def _load_diagrams(path: str) -> list[PersistenceDiagram]:
+def _load_document(path: str) -> tuple[dict | list[dict], list[PersistenceDiagram]]:
+    """The document in path and its diagrams, both checked. An extended
+    document has grids and no diagrams; CSV comes as diagram documents."""
     text = _read_text(path)
-    stripped = text.lstrip()
     try:
-        if stripped.startswith("{") or stripped.startswith("["):
-            doc = json.loads(text)
-            if isinstance(doc, dict):
-                doc = [doc]
-            return [serialize.diagram_from_doc(d) for d in doc]
-        return serialize.diagrams_from_csv(text)
+        if not text.lstrip().startswith(("{", "[")):
+            diagrams = serialize.diagrams_from_csv(text)
+            return [serialize.diagram_to_doc(d) for d in diagrams], diagrams
+        doc = json.loads(text)
+        if isinstance(doc, dict) and "grids" in doc:
+            serialize.check_grids(doc["grids"])
+            return doc, []
+        docs = [doc] if isinstance(doc, dict) else doc
+        return docs, [serialize.diagram_from_doc(d) for d in docs]
     except (json.JSONDecodeError, serialize.DocumentError) as exc:
         raise InputError(f"{path}: {exc}") from None
+
+
+def _load_diagrams(path: str) -> list[PersistenceDiagram]:
+    doc, diagrams = _load_document(path)
+    if isinstance(doc, dict):
+        raise InputError(f"{path}: expected diagrams, got an extended document")
+    return diagrams
 
 
 def _select_diagram(diagrams: list[PersistenceDiagram], dimension: int | None, path: str):
@@ -193,26 +204,16 @@ def cmd_distance(args) -> int:
 
 
 def cmd_plot(args) -> int:
-    text = _read_text(args.input)
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError:
-        try:
-            doc = [serialize.diagram_to_doc(d) for d in serialize.diagrams_from_csv(text)]
-        except serialize.DocumentError as exc:
-            raise InputError(f"{args.input}: {exc}") from None
-    if isinstance(doc, dict) and "grids" in doc:
-        grids = [g for g in doc["grids"] if g.get("dimension") == (args.dimension or 0)]
+    doc, _ = _load_document(args.input)
+    # Documents render as read: re-encoding would merge coincident points.
+    if isinstance(doc, dict):
+        grids = [g for g in doc["grids"] if g["dimension"] == (args.dimension or 0)]
         if not grids:
             raise UsageError(f"no grid of degree {args.dimension or 0} in {args.input}")
         rendered = svg.render_extended_grid(grids[0])
     else:
-        if isinstance(doc, dict):
-            doc = [doc]
-        if not isinstance(doc, list):
-            raise InputError(f"{args.input}: expected diagrams or an extended document")
         if args.dimension is not None:
-            doc = [d for d in doc if d.get("dimension") == args.dimension]
+            doc = [d for d in doc if d["dimension"] == args.dimension]
         rendered = svg.render_diagrams(doc)
     _write_output(rendered, args.output)
     return 0
@@ -270,15 +271,12 @@ def main(argv=None) -> int:
         if getattr(args, "max_dim", 0) < 0:
             raise UsageError("--max-dim must be nonnegative")
         return args.fn(args)
-    except UsageError as exc:
+    except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except MemoryError:
         print(f"error: ran out of memory; {_SHRINK_HINT}", file=sys.stderr)
         return 1

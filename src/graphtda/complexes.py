@@ -7,6 +7,8 @@ serve as the homology oracle for everything downstream.
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from functools import cached_property
 from itertools import combinations
 from typing import Iterable
 
@@ -31,18 +33,31 @@ def simplex(vertices: Iterable[str]) -> Simplex:
 
 
 class SimplicialComplex:
-    """Finite abstract simplicial complex.
+    """Finite abstract simplicial complex; the empty complex has dimension -1.
 
-    Stored as its sorted vertex tuples in canonical (dimension, label) order,
-    each with the positions in that order of its codimension-1 faces. Finding
-    every such face present at construction verifies downward closure, which
-    implies full closure. The empty complex is allowed and has dimension -1.
+    Stores the simplices as vertex tuples in canonical (dimension, label)
+    order and, for each, the positions of its codimension-1 faces. Finding
+    every such face checks downward closure. `simplices` (a frozenset) and
+    `facets` are built on first use and cached. The constructor canonicalises
+    each simplex with `simplex()` and sorts; `_from_ordered` takes tuples
+    already canonical and in order, as the enumerator emits them, and checks
+    that order in one pass.
     """
 
     def __init__(self, simplices: Iterable[Iterable[str]] = ()):
-        ss = frozenset(simplex(s) for s in simplices)
-        order = sorted(ss)
-        order.sort(key=len)
+        self._build(sorted(sorted({simplex(s) for s in simplices}), key=len))
+
+    @classmethod
+    def _from_ordered(cls, order: list[Simplex]) -> "SimplicialComplex":
+        """Complex of canonical tuples listed in strict (dimension, label) order."""
+        for a, b in zip(order, order[1:]):
+            if not (len(a), a) < (len(b), b):
+                raise ValueError(f"simplex {b} repeated or out of (dimension, label) order after {a}")
+        k = cls.__new__(cls)
+        k._build(order)
+        return k
+
+    def _build(self, order: list[Simplex]) -> None:
         position = {s: i for i, s in enumerate(order)}
         faces: list[tuple[int, ...]] = []
         for s in order:
@@ -52,49 +67,43 @@ class SimplicialComplex:
             except KeyError as exc:
                 f = exc.args[0]
                 raise ValueError(f"not closed under faces: {f} missing below {s}") from None
-        self._simplices = ss
         self._order = order
         self._faces = faces
-        self._facets: tuple[Simplex, ...] | None = None
-        self._vertices: tuple[str, ...] | None = None
 
     @classmethod
     def from_facets(
         cls, facets: Iterable[Iterable[str]], max_dim: int | None = None
     ) -> "SimplicialComplex":
         """Downward closure of the given simplices, optionally capped at max_dim."""
-        return cls(_closure(facets, max_dim))
+        return cls._from_ordered(sorted(sorted(_closure(facets, max_dim)), key=len))
 
-    @property
+    @cached_property
     def simplices(self) -> frozenset[Simplex]:
-        return self._simplices
+        return frozenset(self._order)
 
     @property
     def vertices(self) -> tuple[str, ...]:
-        if self._vertices is None:
-            self._vertices = tuple(sorted({v for s in self._simplices for v in s}))
-        return self._vertices
+        """Labels of the 0-simplices, which lead the canonical order."""
+        return tuple([s[0] for s in self._order[: bisect_left(self._order, 2, key=len)]])
 
     @property
     def dim(self) -> int:
         return len(self._order[-1]) - 1 if self._order else -1
 
-    @property
+    @cached_property
     def facets(self) -> tuple[Simplex, ...]:
         """Inclusion-maximal simplices, lexicographically sorted: those that are nobody's face."""
-        if self._facets is None:
-            covered = {f for fs in self._faces for f in fs}
-            self._facets = tuple(sorted(s for i, s in enumerate(self._order) if i not in covered))
-        return self._facets
+        covered = {f for fs in self._faces for f in fs}
+        return tuple(sorted(s for i, s in enumerate(self._order) if i not in covered))
 
     def simplices_of_dim(self, r: int) -> tuple[Simplex, ...]:
         return tuple(s for s in self._order if len(s) == r + 1)
 
     def __contains__(self, s) -> bool:
-        return tuple(sorted(s)) in self._simplices
+        return tuple(sorted(s)) in self.simplices
 
     def __len__(self) -> int:
-        return len(self._simplices)
+        return len(self._order)
 
     def __iter__(self):
         return iter(self._order)
@@ -102,13 +111,13 @@ class SimplicialComplex:
     def __eq__(self, other) -> bool:
         if not isinstance(other, SimplicialComplex):
             return NotImplemented
-        return self._simplices == other._simplices
+        return self._order == other._order
 
     def __hash__(self) -> int:
-        return hash(self._simplices)
+        return hash(self.simplices)
 
     def __repr__(self) -> str:
-        return f"SimplicialComplex({len(self._simplices)} simplices, dim {self.dim})"
+        return f"SimplicialComplex({len(self._order)} simplices, dim {self.dim})"
 
 
 def _closure(facets: Iterable[Iterable[str]], max_dim: int | None = None) -> set[Simplex]:
@@ -126,7 +135,7 @@ def _closure(facets: Iterable[Iterable[str]], max_dim: int | None = None) -> set
 # values (the rules are stated in filtrations.py); the *_complex functions drop
 # the values, reading an edge without a weight as weight 0.
 
-Family = dict[Simplex, float]
+Family = tuple[list[Simplex], list[float]]  # simplices in canonical order, their values
 
 
 def _bits(mask: int):
@@ -164,16 +173,18 @@ def _levelwise(g: WeightedGraph, roots, grow, max_dim: int | None) -> Family:
     labels = g.vertices
     top = len(labels) if max_dim is None else max_dim + 1  # vertices in the largest simplex
     level = [((i,), x, state) for i, x, state in roots]
-    found: Family = {}
+    order: list[Simplex] = []
+    values: list[float] = []
     for size in range(1, top + 1):
-        found.update([(tuple([labels[i] for i in s]), x) for s, x, _ in level])
+        order.extend([tuple([labels[i] for i in s]) for s, _, _ in level])
+        values.extend([x for _, x, _ in level])
         if size < top:
             level = [
                 (s + (v,), y, child)
                 for s, x, state in level
                 for v, y, child in grow(s, x, state)
             ]
-    return found
+    return order, values
 
 
 def _vertex_value(row: dict[int, float]) -> float:
@@ -262,7 +273,7 @@ def _enclaveless_family(g: WeightedGraph, max_dim: int | None = None) -> Family:
 
 def clique_complex(g: WeightedGraph, max_dim: int | None = None) -> SimplicialComplex:
     """Complex of all cliques of g, optionally capped at max_dim."""
-    return SimplicialComplex(_clique_family(g, max_dim))
+    return SimplicialComplex._from_ordered(_clique_family(g, max_dim)[0])
 
 
 def neighborhood_complex(g: WeightedGraph, max_dim: int | None = None) -> SimplicialComplex:
@@ -271,7 +282,7 @@ def neighborhood_complex(g: WeightedGraph, max_dim: int | None = None) -> Simpli
     The neighborhood of v contains v itself, so every vertex appears even
     when isolated. Facets are the inclusion-maximal closed neighborhoods.
     """
-    return SimplicialComplex(_neighborhood_family(g, max_dim))
+    return SimplicialComplex._from_ordered(_neighborhood_family(g, max_dim)[0])
 
 
 def enclaveless_complex(g: WeightedGraph, max_dim: int | None = None) -> SimplicialComplex:
@@ -284,7 +295,7 @@ def enclaveless_complex(g: WeightedGraph, max_dim: int | None = None) -> Simplic
     vertices are refused whatever max_dim: uncapped, the complex of K_n has
     2^n - 2 simplices.
     """
-    return SimplicialComplex(_enclaveless_family(g, max_dim))
+    return SimplicialComplex._from_ordered(_enclaveless_family(g, max_dim)[0])
 
 
 def independent_complex(g: WeightedGraph, max_dim: int | None = None) -> SimplicialComplex:
@@ -336,17 +347,10 @@ def _gf2_rank(columns: Iterable[int]) -> int:
 
 
 def _boundary_columns(k: SimplicialComplex, r: int) -> list[int]:
-    """Columns of the boundary map from r-chains to (r-1)-chains, as bitmasks."""
-    if r <= 0:
-        return []
-    rows = {s: i for i, s in enumerate(k.simplices_of_dim(r - 1))}
-    cols = []
-    for s in k.simplices_of_dim(r):
-        mask = 0
-        for f in combinations(s, r):
-            mask |= 1 << rows[f]
-        cols.append(mask)
-    return cols
+    """Columns of the boundary map from r-chains to (r-1)-chains, as bitmasks
+    over the (r-1)-simplices, read from the face table."""
+    first = bisect_left(k._order, r, key=len)  # position of the first (r-1)-simplex
+    return [sum(1 << (f - first) for f in fs) for s, fs in zip(k._order, k._faces) if len(s) == r + 1]
 
 
 def betti_numbers(k: SimplicialComplex, max_dim: int) -> tuple[int, ...]:
@@ -375,11 +379,9 @@ def complex_isomorphic(a: SimplicialComplex, b: SimplicialComplex) -> bool:
     """
     from .graphs import isomorphisms
 
-    if a.simplices == b.simplices:
+    if a == b:
         return True
-    counts_a = sorted(len(s) for s in a.simplices)
-    counts_b = sorted(len(s) for s in b.simplices)
-    if counts_a != counts_b:
+    if [len(s) for s in a] != [len(s) for s in b]:
         return False
 
     def incidence(k: SimplicialComplex) -> WeightedGraph:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from types import MappingProxyType
 from typing import Mapping
 
@@ -34,27 +35,31 @@ INF = float("inf")
 class FilteredComplex:
     """A simplicial complex with a monotone simplex-value map.
 
-    The value map must be total and satisfy value(face) <= value(simplex);
-    both are enforced at construction, so downstream reductions can trust
-    their input. Values are extended reals (finite or the +-inf sentinels).
-    They are checked and stored by position in the complex's canonical
-    (dimension, label) order, and the filtration order is those positions
-    stably sorted by value, so ties break by dimension, then label.
+    Stores the complex and one list of values (extended reals) by position in
+    its canonical order; the filtration order is those positions stably sorted
+    by value, so ties break by dimension, then label. `value`, a read-only
+    mapping, is built on first use and cached. The constructor checks that the
+    mapping is total on the complex; `_filtered` hands over the enumerator's
+    value list. Both reject NaN and value(face) > value(simplex), so
+    downstream reductions can trust their input.
     """
 
     def __init__(self, complex: SimplicialComplex, values: Mapping[Simplex, float]):
-        order = complex._order
         levels: list[float] = []
-        for s in order:
+        for s in complex._order:
             if s not in values:
                 raise ValueError(f"no value assigned to simplex {s}")
-            v = float(values[s])
-            if math.isnan(v):
-                raise ValueError(f"value for simplex {s} is NaN")
-            levels.append(v)
+            levels.append(float(values[s]))
         if len(values) != len(levels):
             extra = set(values) - complex.simplices
             raise ValueError(f"values given for simplices outside the complex: {sorted(extra)[:3]}")
+        self._build(complex, levels)
+
+    def _build(self, complex: SimplicialComplex, levels: list[float]) -> None:
+        order = complex._order
+        if any(map(math.isnan, levels)):
+            s = order[next(i for i, v in enumerate(levels) if math.isnan(v))]
+            raise ValueError(f"value for simplex {s} is NaN")
         for i, faces in enumerate(complex._faces):
             for f in faces:
                 if levels[f] > levels[i]:
@@ -64,16 +69,15 @@ class FilteredComplex:
                     )
         self._complex = complex
         self._levels = levels
-        self._values = dict(zip(order, levels))
         self._filtration = sorted(range(len(levels)), key=levels.__getitem__)
 
     @property
     def complex(self) -> SimplicialComplex:
         return self._complex
 
-    @property
+    @cached_property
     def value(self) -> Mapping[Simplex, float]:
-        return MappingProxyType(self._values)
+        return MappingProxyType(dict(zip(self._complex._order, self._levels)))
 
     def sorted_simplices(self) -> list[Simplex]:
         """Simplices in filtration order: by value, then dimension, then label."""
@@ -81,21 +85,21 @@ class FilteredComplex:
         return [order[i] for i in self._filtration]
 
     def critical_values(self, finite_only: bool = True) -> tuple[float, ...]:
-        vals = set(self._values.values())
+        vals = set(self._levels)
         if finite_only:
             vals = {v for v in vals if math.isfinite(v)}
         return tuple(sorted(vals))
 
     def __len__(self) -> int:
-        return len(self._values)
+        return len(self._levels)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, FilteredComplex):
             return NotImplemented
-        return self._complex == other._complex and self._values == other._values
+        return self._complex == other._complex and self._levels == other._levels
 
     def __repr__(self) -> str:
-        return f"FilteredComplex({len(self._values)} simplices)"
+        return f"FilteredComplex({len(self._levels)} simplices)"
 
 
 def _require_weighted(g: WeightedGraph, what: str):
@@ -104,7 +108,10 @@ def _require_weighted(g: WeightedGraph, what: str):
 
 
 def _filtered(family: Family) -> FilteredComplex:
-    return FilteredComplex(SimplicialComplex(family), family)
+    order, levels = family
+    fc = FilteredComplex.__new__(FilteredComplex)
+    fc._build(SimplicialComplex._from_ordered(order), levels)
+    return fc
 
 
 def filter_clique(g: WeightedGraph, max_dim: int | None = None) -> FilteredComplex:

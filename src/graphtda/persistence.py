@@ -170,22 +170,6 @@ def reduce(fc: FilteredComplex, max_dim: int) -> list[PersistenceDiagram]:
     return diagrams
 
 
-def cornerpoints(fc: FilteredComplex, r: int) -> PersistenceDiagram:
-    """Diagram of degree r, coincident pairs merged with multiplicities."""
-    return reduce(fc, r)[r]
-
-
-def pbn(fc: FilteredComplex, r: int, u: float, v: float) -> int:
-    """Persistent Betti number of fc in degree r at (u, v), u < v.
-
-    Rank of the map induced in homology by the sublevel inclusion at u into
-    the sublevel at v, read off the diagram.
-    """
-    if not u < v:
-        raise ValueError(f"persistent Betti numbers need u < v, got ({u}, {v})")
-    return reduce(fc, r)[r].rank(u, v)
-
-
 class ExtendedPersistence:
     """Precomputed diagrams of an extended pair, for repeated plane queries."""
 
@@ -210,11 +194,3 @@ class ExtendedPersistence:
             return self.descending[r].rank(-u, -v)
         return self.ascending[r].rank(u, u)
 
-
-def extended_pbn(pair: ExtendedPair, r: int, u: float, v: float) -> int:
-    """One-shot extended persistent Betti number.
-
-    Reduces both filtrations on every call; use ExtendedPersistence when
-    scanning many query points.
-    """
-    return ExtendedPersistence(pair, r).pbn(r, u, v)

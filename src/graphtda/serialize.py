@@ -11,7 +11,7 @@ import json
 import math
 from typing import Iterable
 
-from .complexes import SimplicialComplex
+from .complexes import SimplicialComplex, simplex
 from .filtrations import FilteredComplex
 from .persistence import DiagramPoint, EssentialPoint, PersistenceDiagram
 
@@ -43,6 +43,18 @@ def decode_value(v) -> float:
     return x
 
 
+def _count(v, what: str, least: int) -> int:
+    if isinstance(v, bool) or not isinstance(v, int) or v < least:
+        raise DocumentError(f"{what} must be an integer >= {least}, got {v!r}")
+    return v
+
+
+def _list(v, what: str) -> list:
+    if not isinstance(v, list):
+        raise DocumentError(f"{what} must be a list, got {v!r}")
+    return v
+
+
 def dumps(doc) -> str:
     return json.dumps(doc, indent=2, allow_nan=False) + "\n"
 
@@ -57,11 +69,12 @@ def complex_to_doc(k: SimplicialComplex) -> dict:
 def complex_from_doc(doc) -> SimplicialComplex:
     if not isinstance(doc, dict) or "vertices" not in doc or "facets" not in doc:
         raise DocumentError("complex document needs 'vertices' and 'facets'")
+    facets = [_list(f, "a facet") for f in _list(doc["facets"], "'facets'")]
     try:
-        k = SimplicialComplex.from_facets(doc["facets"])
+        k = SimplicialComplex.from_facets(facets)
     except (TypeError, ValueError) as exc:
         raise DocumentError(f"bad facet list: {exc}") from None
-    declared = tuple(sorted(doc["vertices"]))
+    declared = tuple(sorted(_list(doc["vertices"], "'vertices'")))
     if declared != k.vertices:
         raise DocumentError("vertex list does not match the facets")
     return k
@@ -80,10 +93,16 @@ def filtered_from_doc(doc) -> FilteredComplex:
     if not isinstance(doc, dict) or "simplices" not in doc:
         raise DocumentError("filtered-complex document needs 'simplices'")
     values = {}
-    for entry in doc["simplices"]:
+    for entry in _list(doc["simplices"], "'simplices'"):
         if not isinstance(entry, dict) or "vertices" not in entry or "value" not in entry:
             raise DocumentError("each simplex entry needs 'vertices' and 'value'")
-        values[tuple(sorted(entry["vertices"]))] = decode_value(entry["value"])
+        try:
+            s = simplex(_list(entry["vertices"], "a simplex's vertices"))
+        except (TypeError, ValueError) as exc:
+            raise DocumentError(f"bad simplex: {exc}") from None
+        if s in values:
+            raise DocumentError(f"simplex {s} listed twice")
+        values[s] = decode_value(entry["value"])
     try:
         return FilteredComplex(SimplicialComplex(values.keys()), values)
     except (TypeError, ValueError) as exc:
@@ -113,20 +132,35 @@ def diagram_from_doc(doc) -> PersistenceDiagram:
         raise DocumentError("diagram document needs 'dimension'")
     try:
         points = [
-            (decode_value(p["birth"]), decode_value(p["death"]), int(p.get("multiplicity", 1)))
+            DiagramPoint(
+                decode_value(p["birth"]),
+                decode_value(p["death"]),
+                _count(p.get("multiplicity", 1), "multiplicity", 1),
+            )
             for p in doc.get("points", ())
         ]
         essential = [
-            (decode_value(e["birth"]), int(e.get("multiplicity", 1)))
+            EssentialPoint(decode_value(e["birth"]), _count(e.get("multiplicity", 1), "multiplicity", 1))
             for e in doc.get("essential", ())
         ]
-        return PersistenceDiagram(
-            int(doc["dimension"]),
-            [DiagramPoint(b, d, m) for b, d, m in points],
-            [EssentialPoint(b, m) for b, m in essential],
-        )
+        return PersistenceDiagram(_count(doc["dimension"], "dimension", 0), points, essential)
     except (KeyError, TypeError, ValueError) as exc:
         raise DocumentError(f"bad diagram document: {exc}") from None
+
+
+def check_grids(grids) -> None:
+    """Raise DocumentError unless grids lists extended-PBN grids as `persist
+    --extended` emits them: a degree, n >= 2 coordinates, n rows of n counts."""
+    for doc in _list(grids, "'grids'"):
+        if not isinstance(doc, dict) or not {"dimension", "coordinates", "values"} <= doc.keys():
+            raise DocumentError("each grid needs 'dimension', 'coordinates' and 'values'")
+        _count(doc["dimension"], "grid dimension", 0)
+        n = len([decode_value(c) for c in _list(doc["coordinates"], "grid coordinates")])
+        rows = _list(doc["values"], "grid values")
+        if n < 2 or len(rows) != n or any(len(_list(row, "a grid row")) != n for row in rows):
+            raise DocumentError(f"a grid needs n >= 2 coordinates and n rows of n counts, got n = {n}")
+        for v in (v for row in rows for v in row):
+            _count(v, "grid value", 0)
 
 
 def diagrams_to_csv(diagrams: Iterable[PersistenceDiagram]) -> str:
@@ -143,19 +177,11 @@ def diagrams_to_csv(diagrams: Iterable[PersistenceDiagram]) -> str:
                     "CSV cannot represent a proper point with infinite death; use JSON"
                 )
             lines.append(
-                f"{d.dimension},{_csv_value(p.birth)},{_csv_value(p.death)},{p.multiplicity}"
+                f"{d.dimension},{encode_value(p.birth)},{encode_value(p.death)},{p.multiplicity}"
             )
         for e in d.essential:
-            lines.append(f"{d.dimension},{_csv_value(e.birth)},inf,{e.multiplicity}")
+            lines.append(f"{d.dimension},{encode_value(e.birth)},inf,{e.multiplicity}")
     return "\n".join(lines) + ("\n" if lines else "")
-
-
-def _csv_value(x: float) -> str:
-    if x == math.inf:
-        return "inf"
-    if x == -math.inf:
-        return "-inf"
-    return repr(x)
 
 
 def diagrams_from_csv(text: str) -> list[PersistenceDiagram]:

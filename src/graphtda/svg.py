@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import math
 
+from .serialize import decode_value
+
 SIZE = 600
 MARGIN = 0.05
 
@@ -71,18 +73,14 @@ def _frame(scale: _Scale, fill: str = "white") -> list[str]:
 
 
 def _finite_coords(diagram_docs: list[dict]) -> list[float]:
-    out = []
-    for doc in diagram_docs:
-        for p in doc.get("points", ()):
-            for key in ("birth", "death"):
-                v = p[key]
-                if isinstance(v, (int, float)) and math.isfinite(v):
-                    out.append(float(v))
-        for e in doc.get("essential", ()):
-            v = e["birth"]
-            if isinstance(v, (int, float)) and math.isfinite(v):
-                out.append(float(v))
-    return out
+    values = [
+        decode_value(p[key])
+        for doc in diagram_docs
+        for p in doc.get("points", ())
+        for key in ("birth", "death")
+    ]
+    values += [decode_value(e["birth"]) for doc in diagram_docs for e in doc.get("essential", ())]
+    return [v for v in values if math.isfinite(v)]
 
 
 def render_diagrams(diagram_docs: list[dict]) -> str:
@@ -100,7 +98,7 @@ def render_diagrams(diagram_docs: list[dict]) -> str:
     for doc in diagram_docs:
         color = _DEGREE_COLORS[doc.get("dimension", 0) % len(_DEGREE_COLORS)]
         for e in doc.get("essential", ()):
-            b = _decode_plot(e["birth"])
+            b = decode_value(e["birth"])
             px = _fmt(scale.x(b))
             body.append(
                 f'<line x1="{px}" y1="{_fmt(scale.y(b))}" x2="{px}" y2="{_fmt(top)}" '
@@ -111,22 +109,14 @@ def render_diagrams(diagram_docs: list[dict]) -> str:
                 f'fill="{color}"/>'
             )
         for p in doc.get("points", ()):
-            b = _decode_plot(p["birth"])
-            d = _decode_plot(p["death"])
+            b = decode_value(p["birth"])
+            d = decode_value(p["death"])
             r = 4.0 * math.sqrt(p.get("multiplicity", 1))
             body.append(
                 f'<circle cx="{_fmt(scale.x(b))}" cy="{_fmt(scale.y(d))}" r="{_fmt(r)}" '
                 f'fill="{color}" fill-opacity="0.75"/>'
             )
     return _document(body)
-
-
-def _decode_plot(v) -> float:
-    if v == "inf":
-        return math.inf
-    if v == "-inf":
-        return -math.inf
-    return float(v)
 
 
 def render_extended_grid(grid_doc: dict) -> str:

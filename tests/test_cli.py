@@ -295,6 +295,33 @@ class TestPlot:
         code, _, err = run(["plot", str(p), "--output", str(tmp_path / "nodir" / "x.svg")], capsys)
         assert code == 1 and "cannot write" in err
 
+    @pytest.mark.parametrize(
+        "doc, flags",
+        [
+            ({"grids": 5}, []),
+            ({"grids": [5]}, []),
+            ({"grids": [{"dimension": 0}]}, []),
+            ({"grids": [{"dimension": 0, "coordinates": [0, 1], "values": [[1, 2]]}]}, []),
+            ({"grids": [{"dimension": 0, "coordinates": [0], "values": [[1]]}]}, []),
+            ([5], []),
+            ([5], ["--dimension", "0"]),
+            ([{"dimension": 0, "points": 5}], []),
+            ([{"dimension": 0, "points": [{"birth": "zz", "death": 1}]}], []),
+            ([{"dimension": "0", "points": []}], []),
+        ],
+        ids=[
+            "grids-not-list", "grid-not-dict", "grid-no-coordinates", "grid-short-values",
+            "grid-one-coordinate", "diagram-not-dict", "diagram-not-dict-with-dimension-flag",
+            "points-not-list", "birth-not-number", "dimension-not-int",
+        ],
+    )
+    def test_malformed_document_is_input_error(self, tmp_path, capsys, doc, flags):
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps(doc))
+        code, out, err = run(["plot", str(p), *flags], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {p}: ")
+
 
 class TestUsage:
     def test_unknown_construction(self, graph_file, capsys):

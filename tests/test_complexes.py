@@ -1,4 +1,5 @@
 import random
+import re
 from itertools import combinations
 
 import pytest
@@ -47,9 +48,17 @@ def petersen():
     return WeightedGraph([str(i) for i in range(10)], outer + spokes + inner)
 
 
+ORDER_ERROR = "simplex {} repeated or out of (dimension, label) order after {}"
+
+
 def assert_structure(k):
-    """facets, iteration order, simplices_of_dim and dim against their definitions."""
+    """simplices, vertices, facets, iteration order, simplices_of_dim and dim
+    against their definitions."""
     sims = k.simplices
+    assert sims is k.simplices  # built on first use, then cached
+    assert sims == {t for f in k.facets for r in range(1, len(f) + 1) for t in combinations(f, r)}
+    assert len(k) == len(sims) and all(s in k for s in sims)
+    assert k.vertices == tuple(sorted({v for s in sims for v in s}))
     maximal = [s for s in sims if not any(set(s) < set(t) for t in sims)]
     assert k.facets == tuple(sorted(maximal))
     assert list(k) == sorted(sims, key=lambda s: (len(s), s))
@@ -69,6 +78,20 @@ class TestSimplicialComplex:
     def test_closure_enforced(self):
         with pytest.raises(ValueError, match="not closed"):
             SimplicialComplex([("a", "b")])
+
+    @pytest.mark.parametrize(
+        "order, message",
+        [
+            ([("b",), ("a",)], ORDER_ERROR.format(("a",), ("b",))),
+            ([("a",), ("a",), ("b",)], ORDER_ERROR.format(("a",), ("a",))),
+            ([("a", "b"), ("a",), ("b",)], ORDER_ERROR.format(("a",), ("a", "b"))),
+            ([("a",), ("a", "b")], "not closed under faces: ('b',) missing below ('a', 'b')"),
+        ],
+        ids=["mis-ordered", "repeated", "edge-before-vertices", "missing-face"],
+    )
+    def test_ordered_entry_rejects(self, order, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            SimplicialComplex._from_ordered(order)
 
     def test_from_facets_closure(self):
         k = SimplicialComplex.from_facets([("a", "b", "c")])

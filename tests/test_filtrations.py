@@ -1,4 +1,5 @@
 import random
+import re
 from itertools import combinations
 
 import pytest
@@ -20,6 +21,7 @@ from graphtda import (
     parse_graph,
     threshold_subgraph,
 )
+from graphtda.filtrations import _filtered
 from oracles import SmallestTOracle
 from randutil import (
     random_complex,
@@ -165,6 +167,19 @@ class TestFilteredComplexType:
         with pytest.raises(ValueError, match="no value"):
             FilteredComplex(k, {("a",): 0.0, ("b",): 0.0})
 
+    @pytest.mark.parametrize(
+        "levels, message",
+        [
+            ([0.0, float("nan"), 1.0], "value for simplex ('b',) is NaN"),
+            ([2.0, 0.0, 1.0], "not monotone: value(('a',)) = 2.0 > value(('a', 'b')) = 1.0"),
+        ],
+        ids=["nan", "non-monotone"],
+    )
+    def test_level_entry_rejects(self, levels, message):
+        order = [("a",), ("b",), ("a", "b")]
+        with pytest.raises(ValueError, match=re.escape(message)):
+            _filtered((order, levels))
+
     def test_rejects_stray_values(self):
         k = SimplicialComplex.from_facets([("a",)])
         with pytest.raises(ValueError, match="outside"):
@@ -186,6 +201,8 @@ class TestFilteredComplexType:
             values = random_filtration_values(rng, k, levels=2)
             fc = FilteredComplex(k, values)
             assert fc.sorted_simplices() == sorted(values, key=lambda s: (values[s], len(s), s))
+            assert fc.value == values and len(fc) == len(values)
+            assert fc.value is fc.value  # built on first use, then cached
 
     def test_critical_values(self):
         pair = extended_pair(PATH)

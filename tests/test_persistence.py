@@ -17,9 +17,6 @@ from graphtda.persistence import (
     EssentialPoint,
     ExtendedPersistence,
     PersistenceDiagram,
-    cornerpoints,
-    extended_pbn,
-    pbn,
     reduce,
 )
 from oracles import SublevelRankOracle
@@ -113,7 +110,7 @@ class TestCornerpoints:
                 ("a", "b"): 1.0, ("c", "d"): 1.0, ("b", "c"): 2.0,
             }
         )
-        d0 = cornerpoints(fc, 0)
+        d0 = reduce(fc, 0)[0]
         assert d0.points == (DiagramPoint(0.0, 1.0, 2), DiagramPoint(0.0, 2.0, 1))
         assert d0.essential == (EssentialPoint(0.0, 1),)
         oracle = SublevelRankOracle(fc)
@@ -122,24 +119,20 @@ class TestCornerpoints:
 
     def test_single_vertex_sentinel_birth(self):
         fc = filter_clique(WeightedGraph(["v"], [], {}))
-        assert cornerpoints(fc, 0).essential == (EssentialPoint(-INF, 1),)
+        assert reduce(fc, 0)[0].essential == (EssentialPoint(-INF, 1),)
 
     def test_k2(self):
         fc = filter_clique(parse_graph("a b 3"))
-        d0 = cornerpoints(fc, 0)
+        d0 = reduce(fc, 0)[0]
         assert d0.points == () and d0.essential == (EssentialPoint(3.0, 1),)
 
 
 class TestPbn:
-    def test_requires_half_plane(self):
-        fc = fc_from_values({("a",): 0.0})
-        with pytest.raises(ValueError):
-            pbn(fc, 0, 1.0, 1.0)
-
     def test_counts(self):
         fc = fc_from_values({("a",): 0.0, ("b",): 0.0, ("a", "b"): 1.0})
-        assert pbn(fc, 0, 0.0, 0.5) == 2
-        assert pbn(fc, 0, 0.0, 1.0) == 1
+        d0 = reduce(fc, 0)[0]
+        assert d0.rank(0.0, 0.5) == 2
+        assert d0.rank(0.0, 1.0) == 1
 
     @settings(max_examples=20, deadline=None)
     @given(graphs(max_n=6, weighted=True))
@@ -239,7 +232,7 @@ class TestExtended:
         desc = reduce(pair.descending, 1)
         assert ext.pbn(0, 1.0, 2.5) == asc[0].rank(1.0, 2.5)
         assert ext.pbn(0, 2.5, 1.0) == desc[0].rank(-2.5, -1.0)
-        assert extended_pbn(pair, 0, 1.0, 2.5) == ext.pbn(0, 1.0, 2.5)
+        assert ExtendedPersistence(pair, 0).pbn(0, 1.0, 2.5) == ext.pbn(0, 1.0, 2.5)
 
     def test_diagonal_gives_sublevel_betti(self):
         g = parse_graph("a b 1\nb c 2")

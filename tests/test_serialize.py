@@ -40,6 +40,11 @@ class TestComplexDocs:
         k = SimplicialComplex()
         assert serialize.complex_from_doc(serialize.complex_to_doc(k)) == k
 
+    def test_string_facet_rejected(self):
+        doc = {"vertices": ["a", "b"], "facets": ["ab"]}
+        with pytest.raises(serialize.DocumentError, match="facet must be a list"):
+            serialize.complex_from_doc(doc)
+
 
 class TestFilteredDocs:
     def test_round_trip_with_sentinels(self):
@@ -56,6 +61,27 @@ class TestFilteredDocs:
             ]
         }
         with pytest.raises(serialize.DocumentError, match="monotone"):
+            serialize.filtered_from_doc(doc)
+
+    def test_repeated_simplex_rejected(self):
+        doc = {
+            "simplices": [
+                {"vertices": ["a"], "value": 0},
+                {"vertices": ["a"], "value": 5},
+            ]
+        }
+        with pytest.raises(serialize.DocumentError, match=r"\('a',\) listed twice"):
+            serialize.filtered_from_doc(doc)
+
+    def test_string_vertex_list_rejected(self):
+        doc = {
+            "simplices": [
+                {"vertices": ["a"], "value": 0},
+                {"vertices": ["b"], "value": 0},
+                {"vertices": "ab", "value": 1},
+            ]
+        }
+        with pytest.raises(serialize.DocumentError, match="vertices must be a list"):
             serialize.filtered_from_doc(doc)
 
 

@@ -69,11 +69,7 @@ def main() -> int:
             pair.ascending.critical_values()
             + tuple(-v for v in pair.descending.critical_values())
         )
-        grid = {
-            "dimension": 0,
-            "coordinates": coords,
-            "values": [[ext.pbn(0, u, v) for v in coords] for u in coords],
-        }
+        grid = {"dimension": 0, "coordinates": coords, "values": ext.grid(0, coords)}
         (out_dir / f"{name}_grid.svg").write_text(svg.render_extended_grid(grid))
 
     (ea, pa), (eb, pb) = exts

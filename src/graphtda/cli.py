@@ -128,7 +128,7 @@ def cmd_persist(args) -> int:
                 {
                     "dimension": r,
                     "coordinates": coords,
-                    "values": [[ext.pbn(r, u, v) for v in coords] for u in coords],
+                    "values": ext.grid(r, coords),
                 }
                 for r in range(args.max_dim + 1)
             ],

@@ -132,8 +132,9 @@ def _closure(facets: Iterable[Iterable[str]], max_dim: int | None = None) -> set
 
 # Every construction is a family of vertex sets closed under subsets. One
 # level-wise enumerator builds each of them together with its filtration
-# values (the rules are stated in filtrations.py); the *_complex functions drop
-# the values, reading an edge without a weight as weight 0.
+# values (the rules are stated in filtrations.py); clique_complex and
+# enclaveless_complex drop the values, reading an edge without a weight as
+# weight 0, and neighborhood_complex grows without any.
 
 Family = tuple[list[Simplex], list[float]]  # simplices in canonical order, their values
 
@@ -282,7 +283,21 @@ def neighborhood_complex(g: WeightedGraph, max_dim: int | None = None) -> Simpli
     The neighborhood of v contains v itself, so every vertex appears even
     when isolated. Facets are the inclusion-maximal closed neighborhoods.
     """
-    return SimplicialComplex._from_ordered(_neighborhood_family(g, max_dim)[0])
+    adj, _ = _tables(g)
+    closed = [adj[i] | 1 << i for i in range(len(adj))]
+
+    def grow(s, x, witnesses):
+        # witnesses: the c with s inside N[c], that is the intersection of the
+        # members' closed neighborhoods. s + v is admitted iff one of them is
+        # in N[v], that is iff v is in the union of their N[c].
+        reach = 0
+        for c in _bits(witnesses):
+            reach |= closed[c]
+        for v in _bits(reach & _above(s[-1])):
+            yield v, x, witnesses & closed[v]
+
+    roots = [(i, 0.0, closed[i]) for i in range(len(adj))]
+    return SimplicialComplex._from_ordered(_levelwise(g, roots, grow, max_dim)[0])
 
 
 def enclaveless_complex(g: WeightedGraph, max_dim: int | None = None) -> SimplicialComplex:

@@ -21,6 +21,12 @@ from .persistence import PersistenceDiagram
 
 INF = float("inf")
 
+# Points per diagram, multiplicities counted, above which bottleneck refuses.
+# The cost grows faster than the square of this count: two independent
+# 1000-point diagrams take about 5 s and 62 MB, two 2000-point ones 27 s and
+# 198 MB.
+MAX_POINTS = 2000
+
 Point = tuple[float, float]
 
 
@@ -131,6 +137,13 @@ def bottleneck(d1: PersistenceDiagram, d2: PersistenceDiagram) -> float:
         raise ValueError(
             f"cannot compare diagrams of degrees {d1.dimension} and {d2.dimension}"
         )
+    for d in (d1, d2):
+        size = d.total_points + d.total_essential
+        if size > MAX_POINTS:
+            raise ValueError(
+                f"diagram of degree {d.dimension} has {size} points counting multiplicity, "
+                f"above the bottleneck limit of {MAX_POINTS}"
+            )
     ess1 = sorted(_expand_essential(d1))
     ess2 = sorted(_expand_essential(d2))
     if len(ess1) != len(ess2):

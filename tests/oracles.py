@@ -117,6 +117,45 @@ class SublevelRankOracle:
 
 
 # ---------------------------------------------------------------------------
+# Persistence pairs from the textbook reduction of the whole boundary matrix.
+
+
+def oracle_diagrams(values: dict, max_dim: int) -> list[tuple[list, list]]:
+    """(points, essential births) per degree 0..max_dim, both sorted.
+
+    Simplices are totally ordered by (value, dimension, sorted labels). Every
+    column of the boundary matrix over all dimensions is reduced left to
+    right, as face sets, by adding earlier reduced columns with the same
+    largest row; no clearing, no shortcuts. A nonzero column j pairs its
+    largest row i (birth) with j (death). Zero-persistence pairs are dropped.
+    """
+    order = sorted(values, key=lambda s: (values[s], len(s), tuple(sorted(s))))
+    index = {tuple(sorted(s)): i for i, s in enumerate(order)}
+    owner: dict[int, set] = {}  # largest row -> reduced column
+    death_of: dict[int, int] = {}
+    for j, s in enumerate(order):
+        col = {index[f] for f in combinations(sorted(s), len(s) - 1)} if len(s) > 1 else set()
+        while col and max(col) in owner:
+            col ^= owner[max(col)]
+        if col:
+            owner[max(col)] = col
+            death_of[max(col)] = j
+    deaths = set(death_of.values())
+    out = []
+    for r in range(max_dim + 1):
+        points, essential = [], []
+        for i, s in enumerate(order):
+            if len(s) != r + 1 or i in deaths:
+                continue
+            if i not in death_of:
+                essential.append(values[s])
+            elif values[order[death_of[i]]] > values[s]:
+                points.append((values[s], values[order[death_of[i]]]))
+        out.append((sorted(points), sorted(essential)))
+    return out
+
+
+# ---------------------------------------------------------------------------
 # Literal smallest-threshold filtration values.
 
 

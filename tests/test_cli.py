@@ -1,12 +1,14 @@
 import json
 import math
 import random
+import time
 from pathlib import Path
 
 import pytest
 
 from graphtda import serialize
 from graphtda.cli import main
+from graphtda.metrics import MAX_POINTS
 from graphtda.persistence import PersistenceDiagram
 from oracles import SublevelRankOracle, oracle_bottleneck
 from randutil import random_diagram
@@ -215,6 +217,35 @@ class TestDistance:
         d2.write_text(serialize.dumps(serialize.diagram_to_doc(PersistenceDiagram(0))))
         code, out, _ = run(["distance", str(d1), str(d2)], capsys)
         assert code == 0 and float(out) == 1.0
+
+    def test_huge_multiplicity_refused_fast(self, tmp_path, capsys):
+        big = tmp_path / "big.json"
+        none = tmp_path / "none.json"
+        big.write_text(json.dumps({
+            "dimension": 1,
+            "points": [{"birth": 0.0, "death": 1.0, "multiplicity": 2000000}],
+            "essential": [],
+        }))
+        none.write_text(serialize.dumps(serialize.diagram_to_doc(PersistenceDiagram(1))))
+        start = time.perf_counter()
+        code, out, err = run(["distance", str(big), str(none)], capsys)
+        assert time.perf_counter() - start < 1.0
+        assert code == 1 and out == ""
+        assert f"limit of {MAX_POINTS}" in err and "2000000 points" in err
+
+    def test_limit_counts_multiplicity_and_essential(self, tmp_path, capsys):
+        none = tmp_path / "none.json"
+        none.write_text(serialize.dumps(serialize.diagram_to_doc(PersistenceDiagram(1))))
+        at, over = tmp_path / "at.json", tmp_path / "over.json"
+        at.write_text(serialize.dumps(serialize.diagram_to_doc(
+            PersistenceDiagram(1, [(0.0, 2.0)] * (MAX_POINTS - 1))
+        )))
+        over.write_text(serialize.dumps(serialize.diagram_to_doc(
+            PersistenceDiagram(1, [(0.0, 2.0)] * (MAX_POINTS - 1), [5.0, 6.0])
+        )))
+        assert run(["distance", str(at), str(none)], capsys)[:2] == (0, "1.0\n")
+        code, _, err = run(["distance", str(none), str(over)], capsys)
+        assert code == 1 and f"{MAX_POINTS + 1} points" in err
 
     def test_degree_mismatch(self, tmp_path, capsys):
         d1 = tmp_path / "a.json"

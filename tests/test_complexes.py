@@ -15,6 +15,7 @@ from graphtda import (
     complex_isomorphic,
     csusp,
     enclaveless_complex,
+    filter_neighborhood,
     independent_complex,
     isusp,
     neighborhood_complex,
@@ -27,7 +28,7 @@ from oracles import (
     has_triangle,
     oracle_betti,
 )
-from randutil import random_complex, small_graphs
+from randutil import random_complex, random_weighted_graph, small_graphs
 from strategies import complexes, graphs, nested_graphs
 
 
@@ -177,6 +178,18 @@ class TestNeighborhoodComplex:
         g = WeightedGraph(["a", "b", "z"], [("a", "b")])
         k = neighborhood_complex(g)
         assert ("z",) in k
+
+    def test_matches_filtered_and_closed_neighborhoods(self):
+        # The value-free growth against the filtered family and against the
+        # literal downward closure of every closed neighborhood.
+        rng = random.Random(37)
+        for _ in range(40):
+            g = random_weighted_graph(rng, min_n=1, max_n=9, p=(0.0, 0.9), weights="int")
+            closed = [sorted(g.adjacency(v) | {v}) for v in g.vertices]
+            for cap in (None, 0, 1, 3):
+                k = neighborhood_complex(g, cap)
+                assert k == filter_neighborhood(g, cap).complex
+                assert k == SimplicialComplex.from_facets(closed, cap)
 
 
 class TestEnclavelessComplex:

@@ -19,7 +19,7 @@ from graphtda.persistence import (
     PersistenceDiagram,
     reduce,
 )
-from oracles import SublevelRankOracle
+from oracles import SublevelRankOracle, oracle_diagrams
 from randutil import random_complex, random_filtration_values, random_weighted_graph
 from strategies import graphs
 
@@ -223,6 +223,35 @@ class TestDiagramRankDuality:
                 assert tuple(d.total_essential for d in diagrams) == betti_numbers(k, cap)
 
 
+class TestAgainstTextbookReduction:
+    def test_random_filtered_complexes(self):
+        # Equal values, -inf and +inf blocks, and complexes capped below
+        # max_dim + 1, whose top degree has nothing to kill its classes.
+        rng = random.Random(2011)
+        for case in range(240):
+            vs = [f"v{i}" for i in range(rng.randint(1, 7))]
+            k = SimplicialComplex.from_facets(
+                [rng.sample(vs, rng.randint(1, len(vs))) for _ in range(rng.randint(1, 5))],
+                max_dim=rng.choice((None, None, 1, 2, 3)),
+            )
+            values = random_filtration_values(rng, k, levels=rng.choice((1, 2, 3, 8)))
+            top = max(values.values())
+            style = case % 4
+            if style == 1:
+                values = {s: -INF if v == 0.0 else v for s, v in values.items()}
+            elif style == 2:
+                values = {s: INF if v == top else v for s, v in values.items()}
+            elif style == 3:
+                values = dict.fromkeys(values, -INF)
+            fc = FilteredComplex(k, values)
+            for max_dim in sorted({0, k.dim, k.dim + 1}):
+                expect = [
+                    PersistenceDiagram(r, points, essential)
+                    for r, (points, essential) in enumerate(oracle_diagrams(values, max_dim))
+                ]
+                assert reduce(fc, max_dim) == expect, (case, max_dim, sorted(values.items()))
+
+
 class TestExtended:
     def test_dispatch_matches_branches(self):
         g = parse_graph("a b 1\nb c 2\na c 3")
@@ -246,8 +275,34 @@ class TestExtended:
     def test_degree_out_of_range(self):
         pair = extended_pair(parse_graph("a b 1"))
         ext = ExtendedPersistence(pair, 0)
-        with pytest.raises(ValueError):
-            ext.pbn(1, 0.0, 1.0)
+        for r in (-1, 1):
+            with pytest.raises(ValueError, match="outside computed range"):
+                ext.pbn(r, 0.0, 1.0)
+            with pytest.raises(ValueError, match="outside computed range"):
+                ext.grid(r, [0.0, 1.0])
+
+    def test_grid_matches_pointwise_queries(self):
+        # Unsorted coordinates with repeats, both signed zeros and both
+        # infinities; each cell against pbn and against the scanning rank.
+        rng = random.Random(71)
+        for _ in range(30):
+            g = random_weighted_graph(rng, min_n=1, max_n=7, p=(0.0, 0.9), weights="int")
+            pair = extended_pair(g, 3)
+            ext = ExtendedPersistence(pair, 2)
+            crit = set(pair.ascending.critical_values())
+            crit |= {-v for v in pair.descending.critical_values()}
+            coords = sorted(crit) + [c + 0.5 for c in crit] + [0.0, -0.0, INF, -INF]
+            coords += rng.sample(coords, 3)
+            rng.shuffle(coords)
+            for r in range(3):
+                grid = ext.grid(r, coords)
+                for u, row in zip(coords, grid):
+                    for v, value in zip(coords, row):
+                        assert value == ext.pbn(r, u, v), (r, u, v)
+                        if u > v:
+                            assert value == ext.descending[r].rank(-u, -v)
+                        else:
+                            assert value == ext.ascending[r].rank(u, v)
 
     def test_descending_sees_complement_structure(self):
         # complement edges enter the descending pass at -inf

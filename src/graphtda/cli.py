@@ -166,7 +166,8 @@ def _load_document(path: str) -> tuple[dict | list[dict], list[PersistenceDiagra
             return doc, []
         docs = [doc] if isinstance(doc, dict) else doc
         return docs, [serialize.diagram_from_doc(d) for d in docs]
-    except (json.JSONDecodeError, serialize.DocumentError) as exc:
+    except (json.JSONDecodeError, serialize.DocumentError, RecursionError) as exc:
+        # json.loads recurses once per nesting level, so a deep document is malformed input
         raise InputError(f"{path}: {exc}") from None
 
 

@@ -36,12 +36,13 @@ class SimplicialComplex:
     """Finite abstract simplicial complex; the empty complex has dimension -1.
 
     Stores the simplices as vertex tuples in canonical (dimension, label)
-    order and, for each, the positions of its codimension-1 faces. Finding
-    every such face checks downward closure. `simplices` (a frozenset) and
-    `facets` are built on first use and cached. The constructor canonicalises
-    each simplex with `simplex()` and sorts; `_from_ordered` takes tuples
-    already canonical and in order, as the enumerator emits them, and checks
-    that order in one pass.
+    order, for each the positions of its codimension-1 faces, and the block
+    starts: `_starts[r]` is the position of the first r-simplex, r = 0..dim+1,
+    the one index of dimensions that every layer reads. Finding every face
+    checks downward closure. `simplices` (a frozenset) and `facets` are built
+    on first use and cached. The constructor canonicalises each simplex with
+    `simplex()` and sorts; `_from_ordered` takes tuples already canonical and
+    in order, as the enumerator emits them, and checks that order in one pass.
     """
 
     def __init__(self, simplices: Iterable[Iterable[str]] = ()):
@@ -69,6 +70,12 @@ class SimplicialComplex:
                 raise ValueError(f"not closed under faces: {f} missing below {s}") from None
         self._order = order
         self._faces = faces
+        top = len(order[-1]) if order else 0  # dim + 1
+        self._starts = [bisect_left(order, r + 1, key=len) for r in range(top + 1)]
+
+    def _block(self, r: int) -> tuple[int, int]:
+        """Positions lo..hi-1 of the r-simplices; empty when r is outside 0..dim."""
+        return (self._starts[r], self._starts[r + 1]) if 0 <= r <= self.dim else (0, 0)
 
     @classmethod
     def from_facets(
@@ -84,11 +91,11 @@ class SimplicialComplex:
     @property
     def vertices(self) -> tuple[str, ...]:
         """Labels of the 0-simplices, which lead the canonical order."""
-        return tuple([s[0] for s in self._order[: bisect_left(self._order, 2, key=len)]])
+        return tuple([s[0] for s in self._order[: self._block(0)[1]]])
 
     @property
     def dim(self) -> int:
-        return len(self._order[-1]) - 1 if self._order else -1
+        return len(self._starts) - 2
 
     @cached_property
     def facets(self) -> tuple[Simplex, ...]:
@@ -97,7 +104,7 @@ class SimplicialComplex:
         return tuple(sorted(s for i, s in enumerate(self._order) if i not in covered))
 
     def simplices_of_dim(self, r: int) -> tuple[Simplex, ...]:
-        return tuple(s for s in self._order if len(s) == r + 1)
+        return tuple(self._order[slice(*self._block(r))])
 
     def __contains__(self, s) -> bool:
         return tuple(sorted(s)) in self.simplices
@@ -364,8 +371,9 @@ def _gf2_rank(columns: Iterable[int]) -> int:
 def _boundary_columns(k: SimplicialComplex, r: int) -> list[int]:
     """Columns of the boundary map from r-chains to (r-1)-chains, as bitmasks
     over the (r-1)-simplices, read from the face table."""
-    first = bisect_left(k._order, r, key=len)  # position of the first (r-1)-simplex
-    return [sum(1 << (f - first) for f in fs) for s, fs in zip(k._order, k._faces) if len(s) == r + 1]
+    first = k._block(r - 1)[0]
+    lo, hi = k._block(r)
+    return [sum(1 << (f - first) for f in fs) for fs in k._faces[lo:hi]]
 
 
 def betti_numbers(k: SimplicialComplex, max_dim: int) -> tuple[int, ...]:
@@ -375,13 +383,9 @@ def betti_numbers(k: SimplicialComplex, max_dim: int) -> tuple[int, ...]:
     """
     if max_dim < 0:
         raise ValueError("max_dim must be nonnegative")
-    ranks = [0] * (max_dim + 2)
-    for r in range(1, max_dim + 2):
-        ranks[r] = _gf2_rank(_boundary_columns(k, r))
-    out = []
-    for r in range(max_dim + 1):
-        out.append(len(k.simplices_of_dim(r)) - ranks[r] - ranks[r + 1])
-    return tuple(out)
+    ranks = [0] + [_gf2_rank(_boundary_columns(k, r)) for r in range(1, max_dim + 2)]
+    sizes = [hi - lo for lo, hi in map(k._block, range(max_dim + 1))]
+    return tuple(n - ranks[r] - ranks[r + 1] for r, n in enumerate(sizes))
 
 
 def complex_isomorphic(a: SimplicialComplex, b: SimplicialComplex) -> bool:

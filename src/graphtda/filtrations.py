@@ -36,8 +36,9 @@ class FilteredComplex:
     """A simplicial complex with a monotone simplex-value map.
 
     Stores the complex and one list of values (extended reals) by position in
-    its canonical order; the filtration order is those positions stably sorted
-    by value, so ties break by dimension, then label. `value`, a read-only
+    its canonical order. The filtration order is those positions stably sorted
+    by value, so ties break by dimension, then label; `sorted_simplices` sorts
+    on demand and `reduce` sorts each dimension block. `value`, a read-only
     mapping, is built on first use and cached. The constructor checks that the
     mapping is total on the complex; `_filtered` hands over the enumerator's
     value list. Both reject NaN and value(face) > value(simplex), so
@@ -69,7 +70,6 @@ class FilteredComplex:
                     )
         self._complex = complex
         self._levels = levels
-        self._filtration = sorted(range(len(levels)), key=levels.__getitem__)
 
     @property
     def complex(self) -> SimplicialComplex:
@@ -82,7 +82,7 @@ class FilteredComplex:
     def sorted_simplices(self) -> list[Simplex]:
         """Simplices in filtration order: by value, then dimension, then label."""
         order = self._complex._order
-        return [order[i] for i in self._filtration]
+        return [order[i] for i in sorted(range(len(order)), key=self._levels.__getitem__)]
 
     def critical_values(self, finite_only: bool = True) -> tuple[float, ...]:
         vals = set(self._levels)

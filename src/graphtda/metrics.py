@@ -52,9 +52,13 @@ def dhat(p: Point, q: Point) -> float:
     the diagonal. Matching infinite coordinates cost nothing; mismatched ones
     cost +inf.
     """
+    return _pair_cost(p, q, _half_persistence(p), _half_persistence(q))
+
+
+def _pair_cost(p: Point, q: Point, hp: float, hq: float) -> float:
+    """dhat(p, q), given the half-persistences hp of p and hq of q."""
     direct = max(_coord_diff(p[0], q[0]), _coord_diff(p[1], q[1]))
-    via_diagonal = max(_half_persistence(p), _half_persistence(q))
-    return min(direct, via_diagonal)
+    return min(direct, max(hp, hq))
 
 
 def _expand_points(d: PersistenceDiagram) -> list[Point]:
@@ -102,9 +106,9 @@ def _covers(sources: list[int], adjacency: dict[int, list[int]], right_size: int
 
 def _proper_bottleneck(pts1: list[Point], pts2: list[Point]) -> float:
     n1, n2 = len(pts1), len(pts2)
-    pair_cost = [[dhat(p, q) for q in pts2] for p in pts1]
     diag1 = [_half_persistence(p) for p in pts1]
     diag2 = [_half_persistence(q) for q in pts2]
+    pair_cost = [[_pair_cost(p, q, hp, hq) for q, hq in zip(pts2, diag2)] for p, hp in zip(pts1, diag1)]
 
     def feasible(c: float) -> bool:
         # A point with half-persistence at most c may retire to the diagonal;

@@ -4,11 +4,13 @@ Diagrams come from persistent cohomology: the coboundary matrix over the
 two-element field is reduced one dimension at a time from degree 0 upward,
 with clearing, and for a fixed total order its pairs are those of the
 boundary matrix (de Silva, Morozov and Vejdemo-Johansson, "Dualities in
-persistent (co)homology", 2011). The rows of a d-column are the
-(d+1)-simplices in filtration order. A column whose oldest coface no earlier
-column owns is paired at once, as every apparent pair is (Bauer, "Ripser",
-2021), and its bitmask is built only if another column has to add it; on
-graph complexes that leaves few columns with any algebra. Conventions:
+persistent (co)homology", 2011). A pair joins a d-simplex to a
+(d+1)-simplex, so the reduction reads the complex one dimension block at a
+time, sorted by value, and records each pair once. A column whose oldest
+coface no earlier column owns is paired at once, as every apparent pair is
+(Bauer, "Ripser", 2021), and its bitmask is built only if another column has
+to add it; on graph complexes that leaves few columns with any algebra.
+Conventions:
 
 * simplices are ordered by (value, dimension, vertex labels), so ties break
   deterministically across runs and platforms;
@@ -108,13 +110,12 @@ class PersistenceDiagram:
         )
 
 
-def _bitmask(rows: list[int], last: int) -> int:
-    """Column with a bit at last - j for each row rank j, rows ascending."""
-    lo = rows[-1]
+def _bitmask(rows: list[int]) -> int:
+    """Column with bit j set for each row j."""
     col = 0
     for j in rows:
-        col |= 1 << (lo - j)
-    return col << (last - lo)
+        col |= 1 << j
+    return col
 
 
 def reduce(fc: FilteredComplex, max_dim: int) -> list[PersistenceDiagram]:
@@ -122,16 +123,18 @@ def reduce(fc: FilteredComplex, max_dim: int) -> list[PersistenceDiagram]:
 
     Reduces the coboundary matrix over the two-element field, one dimension
     at a time from 0 upward; for a fixed total order its pairs are those of
-    the boundary matrix. The d-columns are the d-simplices taken youngest
-    first, skipping those already paired as deaths one dimension down
-    (clearing). Their rows are the (d+1)-simplices, and a column's pivot is
-    its oldest coface. A column whose pivot no earlier column owns is already
-    reduced: its pair is recorded at once, and its bitmask is built only when
-    a later column lands on that pivot. Every apparent pair is such a column
-    (tau is sigma's oldest coface and sigma is tau's youngest face), and on
-    graph complexes most columns are. The (max_dim + 1)-simplices appear
-    only as rows; higher ones are skipped. Monotonicity of the input is
-    guaranteed by FilteredComplex itself.
+    the boundary matrix. A pair joins a d-simplex to a (d+1)-simplex, so the
+    order of dimension d is its block of the complex stably sorted by value:
+    the (value, dimension, label) order restricted to d. The d-columns are
+    the d-simplices youngest first, skipping those already paired one
+    dimension down (clearing). Their rows are the (d+1)-simplices numbered
+    youngest first, so a column's pivot, its oldest coface, is its top bit.
+    A column whose pivot no earlier column owns is already reduced: it is
+    paired at once, and its bitmask is built only when a later column lands
+    on that pivot. Every apparent pair is such a column (tau is sigma's
+    oldest coface and sigma is tau's youngest face), and on graph complexes
+    most columns are. The (max_dim + 1)-simplices appear only as rows.
+    Monotonicity of the input is guaranteed by FilteredComplex itself.
 
     Degree max_dim is only reliable when the complex genuinely contains its
     (max_dim + 1)-simplices: a complex built with a dimension cap at or below
@@ -139,67 +142,53 @@ def reduce(fc: FilteredComplex, max_dim: int) -> list[PersistenceDiagram]:
     """
     if max_dim < 0:
         raise ValueError("max_dim must be nonnegative")
-    simplices, faces, levels = fc.complex._order, fc.complex._faces, fc._levels
-    top = max_dim + 1
-    by_dim: list[list[int]] = [[] for _ in range(top + 1)]
-    rank = [0] * len(simplices)  # position in the complex -> index in its by_dim list
-    for p in fc._filtration:
-        d = len(simplices[p]) - 1
-        if d <= top:
-            rank[p] = len(by_dim[d])
-            by_dim[d].append(p)
-
-    # pair_of[p] is the simplex that kills the class born at p, both as
-    # positions in the complex; deaths holds the killers.
-    pair_of: dict[int, int] = {}
-    deaths: set[int] = set()
-    for d in range(top):
-        rows = by_dim[d + 1]
-        last = len(rows) - 1  # row rank j is bit last - j, so the pivot is the highest bit
-        cofaces: list[list[int]] = [[] for _ in by_dim[d]]  # row ranks, oldest first
+    k, faces, levels = fc.complex, fc.complex._faces, fc._levels
+    # blocks[d]: positions of the d-simplices, youngest first
+    blocks = [sorted(range(*k._block(d)), key=levels.__getitem__)[::-1] for d in range(max_dim + 2)]
+    partner = [-1] * len(levels)  # the other simplex of p's pair, or -1
+    for d in range(max_dim + 1):
+        rows = blocks[d + 1]
+        lo = k._block(d)[0]
+        cofaces: list[list[int]] = [[] for _ in blocks[d]]  # by offset in the block; rows ascending
         for j, t in enumerate(rows):
             for f in faces[t]:
-                cofaces[rank[f]].append(j)
+                cofaces[f - lo].append(j)
         # pivot row -> the column owning it: a reduced bitmask, or the coface list
         # of a column paired at once. Such a list is turned into a bitmask anew
         # each time another column lands on it, and never stored: over many rows
         # those bitmasks would hold most of the memory.
         pivots: dict[int, int | list[int]] = {}
-        for p in reversed(by_dim[d]):
-            if p in deaths:
-                continue  # cleared: its column reduces to zero
-            col: int | list[int] = cofaces[rank[p]]
+        for p in blocks[d]:
+            if partner[p] >= 0:
+                continue  # cleared: a death one dimension down, its column reduces to zero
+            col: int | list[int] = cofaces[p - lo]
             if not col:
                 continue
-            j = col[0]
+            j = col[-1]
             while (other := pivots.get(j)) is not None:
                 if other.__class__ is list:
-                    other = _bitmask(other, last)
+                    other = _bitmask(other)
                 if col.__class__ is list:
-                    col = _bitmask(col, last)
+                    col = _bitmask(col)
                 col ^= other
                 if not col:
                     break
-                j = last + 1 - col.bit_length()
+                j = col.bit_length() - 1
             else:
                 pivots[j] = col
-                pair_of[p] = rows[j]
-                deaths.add(rows[j])
+                partner[p] = rows[j]
+                partner[rows[j]] = p
 
     diagrams = []
     for r in range(max_dim + 1):
         points: list[tuple[float, float]] = []
         essential: list[float] = []
-        for p in by_dim[r]:
-            if p in deaths:
-                continue  # negative simplex: kills an (r-1)-class
-            birth = levels[p]
-            if p in pair_of:
-                death = levels[pair_of[p]]
-                if death > birth:
-                    points.append((birth, death))
-            else:
-                essential.append(birth)
+        for p in range(*k._block(r)):
+            q = partner[p]
+            if q < 0:
+                essential.append(levels[p])
+            elif q > p and levels[q] > levels[p]:  # q in the next block: p dies there
+                points.append((levels[p], levels[q]))
         diagrams.append(PersistenceDiagram(r, points, essential))
     return diagrams
 
@@ -236,11 +225,13 @@ class ExtendedPersistence:
         self.max_dim = max_dim
         self.ascending = tuple(reduce(pair.ascending, max_dim))
         self.descending = tuple(reduce(pair.descending, max_dim))
-        self._above = {r: _rank_table(d) for r, d in enumerate(self.ascending)}
-        self._below = {r: _rank_table(d) for r, d in enumerate(self.descending)}
+        self._tables = [(_rank_table(a), _rank_table(d)) for a, d in zip(self.ascending, self.descending)]
 
-    def _out_of_range(self, r: int) -> ValueError:
-        return ValueError(f"degree {r} outside computed range 0..{self.max_dim}")
+    def _degree(self, r: int):
+        """The (ascending, descending) rank tables of degree r."""
+        if not 0 <= r <= self.max_dim:
+            raise ValueError(f"degree {r} outside computed range 0..{self.max_dim}")
+        return self._tables[r]
 
     def pbn(self, r: int, u: float, v: float) -> int:
         """Extended persistent Betti number at any point of the plane.
@@ -250,21 +241,16 @@ class ExtendedPersistence:
         branch applies but its rank is undefined, so the sublevel Betti number
         at u is returned; it is the limit of the rank as v decreases to u.
         """
-        try:
-            if u > v:
-                births, deaths, table = self._below[r]
-                return table[bisect_right(births, -u)][bisect_right(deaths, -v)]
-            births, deaths, table = self._above[r]
-        except KeyError:
-            raise self._out_of_range(r) from None
+        above, below = self._degree(r)
+        if u > v:
+            births, deaths, table = below
+            return table[bisect_right(births, -u)][bisect_right(deaths, -v)]
+        births, deaths, table = above
         return table[bisect_right(births, u)][bisect_right(deaths, v)]
 
     def grid(self, r: int, coords: list[float]) -> list[list[int]]:
         """pbn(r, u, v) for u and v over coords, one row per u."""
-        if r not in self._above:
-            raise self._out_of_range(r)
-        up_births, up_deaths, up = self._above[r]
-        down_births, down_deaths, down = self._below[r]
+        (up_births, up_deaths, up), (down_births, down_deaths, down) = self._degree(r)
         up_cols = [bisect_right(up_deaths, v) for v in coords]
         down_cols = [bisect_right(down_deaths, -v) for v in coords]
         values = []

@@ -185,9 +185,10 @@ def diagrams_to_csv(diagrams: Iterable[PersistenceDiagram]) -> str:
 
 
 def diagrams_from_csv(text: str) -> list[PersistenceDiagram]:
-    """Parse CSV rows back into one diagram per homology degree present."""
-    points: dict[int, list] = {}
-    essential: dict[int, list] = {}
+    """Parse CSV rows back into one diagram per homology degree present,
+    checking each row as a JSON point is checked."""
+    points: dict[int, list[DiagramPoint]] = {}
+    essential: dict[int, list[EssentialPoint]] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
@@ -196,16 +197,18 @@ def diagrams_from_csv(text: str) -> list[PersistenceDiagram]:
         if len(parts) != 4:
             raise DocumentError(f"CSV line {lineno}: expected 4 fields, got {len(parts)}")
         try:
-            r = int(parts[0])
+            r = _count(int(parts[0]), "degree", 0)
             birth = decode_value(_csv_number(parts[1]))
             death = decode_value(_csv_number(parts[2]))
-            mult = int(parts[3])
-        except (DocumentError, ValueError) as exc:
+            mult = _count(int(parts[3]), "multiplicity", 1)
+            if death == math.inf:
+                essential.setdefault(r, []).append(EssentialPoint(birth, mult))
+            elif birth < death:
+                points.setdefault(r, []).append(DiagramPoint(birth, death, mult))
+            else:
+                raise DocumentError(f"proper point needs birth < death, got ({birth}, {death})")
+        except ValueError as exc:
             raise DocumentError(f"CSV line {lineno}: {exc}") from None
-        if death == math.inf:
-            essential.setdefault(r, []).extend([birth] * mult)
-        else:
-            points.setdefault(r, []).extend([(birth, death)] * mult)
     degrees = sorted(set(points) | set(essential))
     return [
         PersistenceDiagram(r, points.get(r, ()), essential.get(r, ()))

@@ -220,18 +220,21 @@ class TestDistance:
 
     def test_huge_multiplicity_refused_fast(self, tmp_path, capsys):
         big = tmp_path / "big.json"
+        big_csv = tmp_path / "big.csv"
         none = tmp_path / "none.json"
         big.write_text(json.dumps({
             "dimension": 1,
             "points": [{"birth": 0.0, "death": 1.0, "multiplicity": 2000000}],
             "essential": [],
         }))
+        big_csv.write_text("1,0.0,1.0,20000000\n")
         none.write_text(serialize.dumps(serialize.diagram_to_doc(PersistenceDiagram(1))))
-        start = time.perf_counter()
-        code, out, err = run(["distance", str(big), str(none)], capsys)
-        assert time.perf_counter() - start < 1.0
-        assert code == 1 and out == ""
-        assert f"limit of {MAX_POINTS}" in err and "2000000 points" in err
+        for path, count in ((big, 2000000), (big_csv, 20000000)):
+            start = time.perf_counter()
+            code, out, err = run(["distance", str(path), str(none)], capsys)
+            assert time.perf_counter() - start < 1.0
+            assert code == 1 and out == ""
+            assert f"limit of {MAX_POINTS}" in err and f"{count} points" in err
 
     def test_limit_counts_multiplicity_and_essential(self, tmp_path, capsys):
         none = tmp_path / "none.json"
@@ -327,31 +330,38 @@ class TestPlot:
         assert code == 1 and "cannot write" in err
 
     @pytest.mark.parametrize(
-        "doc, flags",
+        "text, flags",
         [
-            ({"grids": 5}, []),
-            ({"grids": [5]}, []),
-            ({"grids": [{"dimension": 0}]}, []),
-            ({"grids": [{"dimension": 0, "coordinates": [0, 1], "values": [[1, 2]]}]}, []),
-            ({"grids": [{"dimension": 0, "coordinates": [0], "values": [[1]]}]}, []),
-            ([5], []),
-            ([5], ["--dimension", "0"]),
-            ([{"dimension": 0, "points": 5}], []),
-            ([{"dimension": 0, "points": [{"birth": "zz", "death": 1}]}], []),
-            ([{"dimension": "0", "points": []}], []),
+            (json.dumps({"grids": 5}), []),
+            (json.dumps({"grids": [5]}), []),
+            (json.dumps({"grids": [{"dimension": 0}]}), []),
+            (json.dumps({"grids": [{"dimension": 0, "coordinates": [0, 1], "values": [[1, 2]]}]}), []),
+            (json.dumps({"grids": [{"dimension": 0, "coordinates": [0], "values": [[1]]}]}), []),
+            (json.dumps([5]), []),
+            (json.dumps([5]), ["--dimension", "0"]),
+            (json.dumps([{"dimension": 0, "points": 5}]), []),
+            (json.dumps([{"dimension": 0, "points": [{"birth": "zz", "death": 1}]}]), []),
+            (json.dumps([{"dimension": "0", "points": []}]), []),
+            ("1,0.0,1.0,-5\n", []),
+            ("-1,0.0,1.0,1\n", []),
+            ("1,2.0,1.0,1\n", []),
+            ("[" * 200000 + "]" * 200000, []),
         ],
         ids=[
             "grids-not-list", "grid-not-dict", "grid-no-coordinates", "grid-short-values",
             "grid-one-coordinate", "diagram-not-dict", "diagram-not-dict-with-dimension-flag",
             "points-not-list", "birth-not-number", "dimension-not-int",
+            "csv-negative-multiplicity", "csv-negative-degree", "csv-birth-after-death",
+            "deeply-nested-json",
         ],
     )
-    def test_malformed_document_is_input_error(self, tmp_path, capsys, doc, flags):
-        p = tmp_path / "bad.json"
-        p.write_text(json.dumps(doc))
-        code, out, err = run(["plot", str(p), *flags], capsys)
-        assert code == 2 and out == ""
-        assert err.startswith(f"error: {p}: ")
+    def test_malformed_document_is_input_error(self, tmp_path, capsys, text, flags):
+        p = tmp_path / "bad"
+        p.write_text(text)
+        for command in (["plot", str(p)], ["distance", str(p), str(p)]):
+            code, out, err = run([*command, *flags], capsys)
+            assert code == 2 and out == "", (command, err)
+            assert err.startswith(f"error: {p}: "), (command, err)
 
 
 class TestUsage:

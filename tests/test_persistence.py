@@ -226,7 +226,8 @@ class TestDiagramRankDuality:
 class TestAgainstTextbookReduction:
     def test_random_filtered_complexes(self):
         # Equal values, -inf and +inf blocks, and complexes capped below
-        # max_dim + 1, whose top degree has nothing to kill its classes.
+        # max_dim + 1, whose top degree has nothing to kill its classes;
+        # k.dim + 3 asks for degrees past the last dimension block.
         rng = random.Random(2011)
         for case in range(240):
             vs = [f"v{i}" for i in range(rng.randint(1, 7))]
@@ -244,7 +245,7 @@ class TestAgainstTextbookReduction:
             elif style == 3:
                 values = dict.fromkeys(values, -INF)
             fc = FilteredComplex(k, values)
-            for max_dim in sorted({0, k.dim, k.dim + 1}):
+            for max_dim in sorted({0, k.dim, k.dim + 1, k.dim + 3}):
                 expect = [
                     PersistenceDiagram(r, points, essential)
                     for r, (points, essential) in enumerate(oracle_diagrams(values, max_dim))

@@ -220,6 +220,17 @@ def cmd_plot(args) -> int:
     return 0
 
 
+def _nonnegative(text: str) -> int:
+    """Argument type of --max-dim and --dimension: an integer >= 0."""
+    try:
+        n = int(text)
+    except ValueError:
+        n = -1
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
+    return n
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
@@ -231,7 +242,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--construction", choices=CONSTRUCTIONS, default="clique")
-        p.add_argument("--max-dim", dest="max_dim", type=int, default=3)
+        p.add_argument("--max-dim", dest="max_dim", type=_nonnegative, default=3)
         p.add_argument("--extended", action="store_true")
         p.add_argument("--output", default=None)
 
@@ -250,12 +261,12 @@ def _build_parser() -> argparse.ArgumentParser:
     d = sub.add_parser("distance", help="bottleneck distance between two diagrams")
     d.add_argument("first")
     d.add_argument("second")
-    d.add_argument("--dimension", type=int, default=None)
+    d.add_argument("--dimension", type=_nonnegative, default=None)
     d.set_defaults(fn=cmd_distance)
 
     pl = sub.add_parser("plot", help="render diagrams or an extended grid to SVG")
     pl.add_argument("input")
-    pl.add_argument("--dimension", type=int, default=None)
+    pl.add_argument("--dimension", type=_nonnegative, default=None)
     pl.add_argument("--output", default=None)
     pl.add_argument("--format", choices=("svg",), default="svg")
     pl.set_defaults(fn=cmd_plot)
@@ -269,8 +280,6 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        if getattr(args, "max_dim", 0) < 0:
-            raise UsageError("--max-dim must be nonnegative")
         return args.fn(args)
     except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -184,6 +184,8 @@ def _levelwise(g: WeightedGraph, roots, grow, max_dim: int | None) -> Family:
     order: list[Simplex] = []
     values: list[float] = []
     for size in range(1, top + 1):
+        if not level:
+            break  # no simplex of this size, so none larger
         order.extend([tuple([labels[i] for i in s]) for s, _, _ in level])
         values.extend([x for _, x, _ in level])
         if size < top:

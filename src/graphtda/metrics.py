@@ -31,11 +31,7 @@ Point = tuple[float, float]
 
 
 def _coord_diff(a: float, b: float) -> float:
-    if a == b:
-        return 0.0
-    if math.isinf(a) or math.isinf(b):
-        return INF
-    return abs(a - b)
+    return 0.0 if a == b else abs(a - b)
 
 
 def _half_persistence(p: Point) -> float:

@@ -6,10 +6,11 @@ with clearing, and for a fixed total order its pairs are those of the
 boundary matrix (de Silva, Morozov and Vejdemo-Johansson, "Dualities in
 persistent (co)homology", 2011). A pair joins a d-simplex to a
 (d+1)-simplex, so the reduction reads the complex one dimension block at a
-time, sorted by value, and records each pair once. A column whose oldest
-coface no earlier column owns is paired at once, as every apparent pair is
-(Bauer, "Ripser", 2021), and its bitmask is built only if another column has
-to add it; on graph complexes that leaves few columns with any algebra.
+time, sorted by value, and emits each pair as it is found. A column whose
+oldest coface no earlier column owns is paired at once, as every apparent
+pair is (Bauer, "Ripser", 2021), and its bitmask is built only if another
+column has to add it; on graph complexes that leaves few columns with any
+algebra.
 Conventions:
 
 * simplices are ordered by (value, dimension, vertex labels), so ties break
@@ -121,19 +122,22 @@ def _bitmask(rows: list[int]) -> int:
 def reduce(fc: FilteredComplex, max_dim: int) -> list[PersistenceDiagram]:
     """Persistence diagrams of fc for degrees 0..max_dim.
 
-    Reduces the coboundary matrix over the two-element field, one dimension
-    at a time from 0 upward; for a fixed total order its pairs are those of
-    the boundary matrix. A pair joins a d-simplex to a (d+1)-simplex, so the
-    order of dimension d is its block of the complex stably sorted by value:
-    the (value, dimension, label) order restricted to d. The d-columns are
-    the d-simplices youngest first, skipping those already paired one
-    dimension down (clearing). Their rows are the (d+1)-simplices numbered
-    youngest first, so a column's pivot, its oldest coface, is its top bit.
-    A column whose pivot no earlier column owns is already reduced: it is
-    paired at once, and its bitmask is built only when a later column lands
-    on that pivot. Every apparent pair is such a column (tau is sigma's
-    oldest coface and sigma is tau's youngest face), and on graph complexes
-    most columns are. The (max_dim + 1)-simplices appear only as rows.
+    Reduces the coboundary matrix over the two-element field in one loop
+    over degrees from 0 upward; for a fixed total order its pairs are those
+    of the boundary matrix. A pair joins a d-simplex to a (d+1)-simplex, so
+    the order of dimension d is its block of the complex stably sorted by
+    value: the (value, dimension, label) order restricted to d. Each block
+    is sorted once, youngest first: it is degree d's rows, then degree
+    (d+1)'s columns. A column's pivot, its oldest coface, is its top bit.
+    Columns whose simplex died one degree down are skipped (clearing); a
+    byte per simplex marks those deaths. A column whose pivot no earlier
+    column owns is already reduced: it is paired at once, and its bitmask is
+    built only when a later column lands on that pivot. Every apparent pair
+    is such a column (tau is sigma's oldest coface and sigma is tau's
+    youngest face), and on graph complexes most columns are. A column that
+    keeps a pivot adds its point to the diagram of degree d unless birth and
+    death coincide; one with no cofaces, or that reduces to zero, adds an
+    essential class. The (max_dim + 1)-simplices appear only as rows.
     Monotonicity of the input is guaranteed by FilteredComplex itself.
 
     Degree max_dim is only reliable when the complex genuinely contains its
@@ -143,13 +147,13 @@ def reduce(fc: FilteredComplex, max_dim: int) -> list[PersistenceDiagram]:
     if max_dim < 0:
         raise ValueError("max_dim must be nonnegative")
     k, faces, levels = fc.complex, fc.complex._faces, fc._levels
-    # blocks[d]: positions of the d-simplices, youngest first
-    blocks = [sorted(range(*k._block(d)), key=levels.__getitem__)[::-1] for d in range(max_dim + 2)]
-    partner = [-1] * len(levels)  # the other simplex of p's pair, or -1
+    dead = bytearray(len(levels))  # 1 for a simplex paired as a death
+    cols = sorted(range(*k._block(0)), key=levels.__getitem__)[::-1]  # youngest first
+    diagrams = []
     for d in range(max_dim + 1):
-        rows = blocks[d + 1]
+        rows = sorted(range(*k._block(d + 1)), key=levels.__getitem__)[::-1]
         lo = k._block(d)[0]
-        cofaces: list[list[int]] = [[] for _ in blocks[d]]  # by offset in the block; rows ascending
+        cofaces: list[list[int]] = [[] for _ in cols]  # by offset in the block; rows ascending
         for j, t in enumerate(rows):
             for f in faces[t]:
                 cofaces[f - lo].append(j)
@@ -158,38 +162,31 @@ def reduce(fc: FilteredComplex, max_dim: int) -> list[PersistenceDiagram]:
         # each time another column lands on it, and never stored: over many rows
         # those bitmasks would hold most of the memory.
         pivots: dict[int, int | list[int]] = {}
-        for p in blocks[d]:
-            if partner[p] >= 0:
+        points: list[tuple[float, float]] = []
+        essential: list[float] = []
+        for p in cols:
+            if dead[p]:
                 continue  # cleared: a death one dimension down, its column reduces to zero
             col: int | list[int] = cofaces[p - lo]
-            if not col:
-                continue
-            j = col[-1]
-            while (other := pivots.get(j)) is not None:
+            while col:
+                j = col[-1] if col.__class__ is list else col.bit_length() - 1
+                other = pivots.get(j)
+                if other is None:
+                    pivots[j] = col
+                    t = rows[j]
+                    dead[t] = 1
+                    if levels[t] > levels[p]:
+                        points.append((levels[p], levels[t]))
+                    break
                 if other.__class__ is list:
                     other = _bitmask(other)
                 if col.__class__ is list:
                     col = _bitmask(col)
                 col ^= other
-                if not col:
-                    break
-                j = col.bit_length() - 1
             else:
-                pivots[j] = col
-                partner[p] = rows[j]
-                partner[rows[j]] = p
-
-    diagrams = []
-    for r in range(max_dim + 1):
-        points: list[tuple[float, float]] = []
-        essential: list[float] = []
-        for p in range(*k._block(r)):
-            q = partner[p]
-            if q < 0:
                 essential.append(levels[p])
-            elif q > p and levels[q] > levels[p]:  # q in the next block: p dies there
-                points.append((levels[p], levels[q]))
-        diagrams.append(PersistenceDiagram(r, points, essential))
+        diagrams.append(PersistenceDiagram(d, points, essential))
+        cols = rows
     return diagrams
 
 

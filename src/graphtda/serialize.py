@@ -198,8 +198,8 @@ def diagrams_from_csv(text: str) -> list[PersistenceDiagram]:
             raise DocumentError(f"CSV line {lineno}: expected 4 fields, got {len(parts)}")
         try:
             r = _count(int(parts[0]), "degree", 0)
-            birth = decode_value(_csv_number(parts[1]))
-            death = decode_value(_csv_number(parts[2]))
+            birth = decode_value(float(parts[1]))
+            death = decode_value(float(parts[2]))
             mult = _count(int(parts[3]), "multiplicity", 1)
             if death == math.inf:
                 essential.setdefault(r, []).append(EssentialPoint(birth, mult))
@@ -215,9 +215,3 @@ def diagrams_from_csv(text: str) -> list[PersistenceDiagram]:
         for r in degrees
     ]
 
-
-def _csv_number(tok: str):
-    tok = tok.strip()
-    if tok in ("inf", "-inf"):
-        return tok
-    return float(tok)

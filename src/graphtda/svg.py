@@ -20,14 +20,6 @@ def _fmt(x: float) -> str:
     return f"{x:.2f}"
 
 
-def _label(x: float) -> str:
-    if x == math.inf:
-        return "inf"
-    if x == -math.inf:
-        return "-inf"
-    return f"{x:g}"
-
-
 class _Scale:
     """Maps a data interval onto the padded viewport, y axis flipped."""
 
@@ -66,9 +58,9 @@ def _frame(scale: _Scale, fill: str = "white") -> list[str]:
         f'<line x1="{x0}" y1="{y0}" x2="{x1}" y2="{y1}" '
         f'stroke="#888888" stroke-width="1" stroke-dasharray="4 3"/>',
         f'<text x="{x0}" y="{_fmt(SIZE * (1 - MARGIN) + 16)}" font-size="12" '
-        f'font-family="monospace">{_label(scale.lo)}</text>',
+        f'font-family="monospace">{scale.lo:g}</text>',
         f'<text x="{x1}" y="{_fmt(SIZE * (1 - MARGIN) + 16)}" font-size="12" '
-        f'font-family="monospace" text-anchor="end">{_label(scale.hi)}</text>',
+        f'font-family="monospace" text-anchor="end">{scale.hi:g}</text>',
     ]
 
 

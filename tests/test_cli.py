@@ -369,9 +369,17 @@ class TestUsage:
         code, _, _ = run(["build", graph_file("c4.txt", C4_TEXT), "--construction", "zzz"], capsys)
         assert code == 1
 
-    def test_negative_max_dim(self, graph_file, capsys):
-        code, _, _ = run(["persist", graph_file("c4.txt", C4_TEXT), "--max-dim", "-1"], capsys)
-        assert code == 1
+    def test_negative_max_dim(self, graph_file, tmp_path, capsys):
+        diagrams = tmp_path / "d.json"
+        diagrams.write_text(serialize.dumps([serialize.diagram_to_doc(PersistenceDiagram(0, [(1, 3)]))]))
+        for args in (
+            ["persist", graph_file("c4.txt", C4_TEXT), "--max-dim", "-1"],
+            ["distance", str(diagrams), str(diagrams), "--dimension", "-1"],
+            ["plot", str(diagrams), "--dimension", "-3"],
+        ):
+            code, out, err = run(args, capsys)
+            assert code == 1 and out == ""
+            assert f"argument {args[-2]}: expected a nonnegative integer" in err
 
     def test_missing_input_file(self, capsys):
         code, _, err = run(["build", "/nonexistent/file.txt"], capsys)

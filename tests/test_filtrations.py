@@ -1,5 +1,6 @@
 import random
 import re
+import time
 from itertools import combinations
 
 import pytest
@@ -64,6 +65,12 @@ class TestFilterClique:
     def test_requires_weights(self):
         with pytest.raises(ValueError, match="weighted"):
             filter_clique(WeightedGraph("ab", [("a", "b")]))
+
+    def test_huge_cap_stops_at_first_empty_level(self):
+        start = time.perf_counter()
+        fc = filter_clique(TRIANGLE, 10**7)
+        assert time.perf_counter() - start < 1.0
+        assert fc == filter_clique(TRIANGLE)
 
 
 class TestFilterNeighborhood:

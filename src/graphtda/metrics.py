@@ -1,30 +1,36 @@
 """Bottleneck distance between diagrams and the graph-isomorphism pseudodistance.
 
-The bottleneck optimum is exact. Every candidate cost is collected (pairwise
-point costs and half-persistences of diagonal moves), and the smallest one
-that is feasible is found by bisection over the sorted candidates. A cost c
-is feasible when the pairs of points costing at most c have a matching that
-covers, on each side, every point whose half-persistence exceeds c; the
-other points retire to the diagonal. Essential points match only among
-themselves at cost |birth - birth'|; when the essential counts differ the
-distance is +inf, since a cornerline cannot be moved to the diagonal at
-finite cost.
+The bottleneck optimum is exact: the smallest feasible candidate cost, found by
+bisection over the sorted candidates. A cost c is feasible when the pairs of
+points costing at most c have a matching that covers, on each side, every point
+whose half-persistence exceeds c; the other points retire to the diagonal. A
+forced point's partners at c are the points within sup-norm distance c, so
+each side is sorted by birth and read in windows of births; no cost matrix is
+built. The candidates are 0, the half-persistences and the pair costs, and
+pairs farther apart than every finite half-persistence add nothing new, so
+they too come from windows. Essential points match only among themselves at
+cost |birth - birth'|; when the essential counts differ the distance is +inf,
+since a cornerline cannot be moved to the diagonal at finite cost.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
+import sys
+from bisect import bisect_left, bisect_right
 
 from .graphs import WeightedGraph, isomorphisms
 from .persistence import PersistenceDiagram
 
 INF = float("inf")
+# Window half-width that admits every finite distance and no infinite one.
+_UNBOUNDED = sys.float_info.max
 
 # Points per diagram, multiplicities counted, above which bottleneck refuses.
-# The cost grows faster than the square of this count: two independent
-# 1000-point diagrams take about 5 s and 62 MB, two 2000-point ones 27 s and
-# 198 MB.
+# The cost grows about as the square of this count. Two independent diagrams,
+# births U[0, 100) and persistence U[0.5, 30) from random.Random(3), take
+# about 0.5 s and 27 MB of max RSS through `graphtda distance` at 1000 points
+# each, and 2.5 s and 57 MB at 2000 (Python 3.11, 2 CPUs).
 MAX_POINTS = 2000
 
 Point = tuple[float, float]
@@ -48,13 +54,8 @@ def dhat(p: Point, q: Point) -> float:
     the diagonal. Matching infinite coordinates cost nothing; mismatched ones
     cost +inf.
     """
-    return _pair_cost(p, q, _half_persistence(p), _half_persistence(q))
-
-
-def _pair_cost(p: Point, q: Point, hp: float, hq: float) -> float:
-    """dhat(p, q), given the half-persistences hp of p and hq of q."""
     direct = max(_coord_diff(p[0], q[0]), _coord_diff(p[1], q[1]))
-    return min(direct, max(hp, hq))
+    return min(direct, max(_half_persistence(p), _half_persistence(q)))
 
 
 def _expand_points(d: PersistenceDiagram) -> list[Point]:
@@ -71,16 +72,21 @@ def _expand_essential(d: PersistenceDiagram) -> list[float]:
     return out
 
 
-def _covers(sources: list[int], adjacency: dict[int, list[int]], right_size: int) -> bool:
-    """Whether one matching covers every source, by Kuhn's augmenting paths.
+def _covers(adjacency: dict[int, list[int]], right_size: int) -> bool:
+    """Whether one matching covers every source, a key of ``adjacency``.
 
-    Only sources are ever matched, so ``adjacency`` needs only their rows. The
-    alternating path lives on an explicit stack, not the interpreter's.
+    Kuhn's augmenting paths, each tried only when the source has no free
+    neighbour to take at once. The alternating path lives on an explicit
+    stack, not the interpreter's.
     """
     match_right = [-1] * right_size
-    for s in sources:
+    for s, row in adjacency.items():
+        v = next((v for v in row if match_right[v] < 0), -1)
+        if v >= 0:
+            match_right[v] = s
+            continue
         seen = [False] * right_size
-        stack, via = [(s, iter(adjacency[s]))], [-1]  # via[k]: right vertex into stack[k]
+        stack, via = [(s, iter(row))], [-1]  # via[k]: right vertex into stack[k]
         while stack:
             v = next((v for v in stack[-1][1] if not seen[v]), -1)
             if v < 0:
@@ -100,11 +106,59 @@ def _covers(sources: list[int], adjacency: dict[int, list[int]], right_size: int
     return True
 
 
+def _window(keys: list[float], x: float, c: float) -> tuple[int, int]:
+    """The range of the sorted keys y with _coord_diff(x, y) <= c, for c >= 0.
+
+    Bisecting for x - c and x + c lands within rounding of the range's ends;
+    the loops settle each end on the exact test, which holds on one run of
+    keys since the rounded difference is monotone in y.
+    """
+    n = len(keys)
+    lo = bisect_left(keys, x - c)
+    while lo > 0 and x - keys[lo - 1] <= c:
+        lo -= 1
+    while lo < n and keys[lo] < x and not x - keys[lo] <= c:
+        lo += 1
+    hi = bisect_right(keys, x + c, lo)
+    while hi < n and keys[hi] - x <= c:
+        hi += 1
+    while hi > lo and keys[hi - 1] > x and not keys[hi - 1] - x <= c:
+        hi -= 1
+    return lo, hi
+
+
+def _neighbours(p: Point, births: list[float], deaths: list[float], c: float) -> list[int]:
+    """Indices j of the points (births[j], deaths[j]) within sup-norm distance c of p."""
+    b, d = p
+    lo, hi = _window(births, b, c)
+    return [j for j, e in enumerate(deaths[lo:hi], lo) if abs(e - d) <= c or e == d]
+
+
+def _pair_costs(
+    p: Point, hp: float, births: list[float], deaths: list[float], halves: list[float], c: float
+) -> list[float]:
+    """dhat from p, of half-persistence hp, to each point within sup-norm distance c of it."""
+    b, d = p
+    lo, hi = _window(births, b, c)
+    out = []
+    for a, e, hq in zip(births[lo:hi], deaths[lo:hi], halves[lo:hi]):
+        dd = 0.0 if e == d else abs(e - d)
+        if dd <= c:
+            db = 0.0 if a == b else abs(a - b)
+            direct = db if db > dd else dd
+            retire = hp if hp > hq else hq
+            out.append(direct if direct < retire else retire)
+    return out
+
+
 def _proper_bottleneck(pts1: list[Point], pts2: list[Point]) -> float:
-    n1, n2 = len(pts1), len(pts2)
+    # Each side is sorted by birth, so the points within sup-norm distance c
+    # of a point are one window of births, tested on deaths.
+    pts1, pts2 = sorted(pts1), sorted(pts2)
+    births1, deaths1 = [p[0] for p in pts1], [p[1] for p in pts1]
+    births2, deaths2 = [q[0] for q in pts2], [q[1] for q in pts2]
     diag1 = [_half_persistence(p) for p in pts1]
     diag2 = [_half_persistence(q) for q in pts2]
-    pair_cost = [[_pair_cost(p, q, hp, hq) for q, hq in zip(pts2, diag2)] for p, hp in zip(pts1, diag1)]
 
     def feasible(c: float) -> bool:
         # A point with half-persistence at most c may retire to the diagonal;
@@ -113,19 +167,30 @@ def _proper_bottleneck(pts1: list[Point], pts2: list[Point]) -> float:
         # their projections, and the |M| projection slots left free on the pts1
         # side absorb the projections of the |M| matched pts2 points. By
         # Mendelsohn-Dulmage, M exists iff each side's forced points can be
-        # covered on their own.
-        forced1 = [i for i in range(n1) if diag1[i] > c]
-        forced2 = [j for j in range(n2) if diag2[j] > c]
-        rows = {i: [j for j in range(n2) if pair_cost[i][j] <= c] for i in forced1}
-        if not _covers(forced1, rows, n2):
+        # covered on their own. A pair with a forced point has max(hp, hq) > c,
+        # so it costs at most c iff its sup-norm distance does.
+        rows = {i: _neighbours(p, births2, deaths2, c) for i, p in enumerate(pts1) if diag1[i] > c}
+        if not _covers(rows, len(pts2)):
             return False
-        cols = {j: [i for i in range(n1) if pair_cost[i][j] <= c] for j in forced2}
-        return _covers(forced2, cols, n1)
+        cols = {j: _neighbours(q, births1, deaths1, c) for j, q in enumerate(pts2) if diag2[j] > c}
+        return _covers(cols, len(pts1))
 
-    candidates = {0.0}
-    candidates.update(c for row in pair_cost for c in row if math.isfinite(c))
-    candidates.update(c for c in diag1 if math.isfinite(c))
-    candidates.update(c for c in diag2 if math.isfinite(c))
+    # The optimum is 0, a finite half-persistence or a finite pair cost
+    # min(direct, max(hp, hq)). A pair farther apart than top, the largest
+    # finite half-persistence, costs max(hp, hq): a candidate already, or
+    # inf. So a point reads its pair costs from its window at top, unless its
+    # half-persistence is inf and the window is unbounded. Such points of pts2
+    # read theirs too: with finite coordinates whose half-persistence
+    # overflows, they pair at a finite cost above top with finite points.
+    finite = [h for h in diag1 + diag2 if h < INF]
+    top = max(finite, default=0.0)
+    candidates = {0.0, *finite}
+    for p, h in zip(pts1, diag1):
+        reach = top if h < INF else _UNBOUNDED
+        candidates.update(_pair_costs(p, h, births2, deaths2, diag2, reach))
+    for q, h in zip(pts2, diag2):
+        if h == INF:
+            candidates.update(_pair_costs(q, h, births1, deaths1, diag1, _UNBOUNDED))
     ordered = sorted(candidates)
     k = bisect_left(range(len(ordered)), True, key=lambda i: feasible(ordered[i]))
     return ordered[k] if k < len(ordered) else INF

@@ -150,15 +150,19 @@ def diagram_from_doc(doc) -> PersistenceDiagram:
 
 def check_grids(grids) -> None:
     """Raise DocumentError unless grids lists extended-PBN grids as `persist
-    --extended` emits them: a degree, n >= 2 coordinates, n rows of n counts."""
+    --extended` emits them: a degree, n >= 2 nondecreasing coordinates (a
+    midpoint of two adjacent floats may equal an end), n rows of n counts."""
     for doc in _list(grids, "'grids'"):
         if not isinstance(doc, dict) or not {"dimension", "coordinates", "values"} <= doc.keys():
             raise DocumentError("each grid needs 'dimension', 'coordinates' and 'values'")
         _count(doc["dimension"], "grid dimension", 0)
-        n = len([decode_value(c) for c in _list(doc["coordinates"], "grid coordinates")])
+        coords = [decode_value(c) for c in _list(doc["coordinates"], "grid coordinates")]
+        n = len(coords)
         rows = _list(doc["values"], "grid values")
         if n < 2 or len(rows) != n or any(len(_list(row, "a grid row")) != n for row in rows):
             raise DocumentError(f"a grid needs n >= 2 coordinates and n rows of n counts, got n = {n}")
+        if any(b < a for a, b in zip(coords, coords[1:])):
+            raise DocumentError("grid coordinates are out of order; they must be nondecreasing")
         for v in (v for row in rows for v in row):
             _count(v, "grid value", 0)
 

@@ -337,6 +337,7 @@ class TestPlot:
             (json.dumps({"grids": [{"dimension": 0}]}), []),
             (json.dumps({"grids": [{"dimension": 0, "coordinates": [0, 1], "values": [[1, 2]]}]}), []),
             (json.dumps({"grids": [{"dimension": 0, "coordinates": [0], "values": [[1]]}]}), []),
+            (json.dumps({"grids": [{"dimension": 0, "coordinates": [1, 0, 2], "values": [[0] * 3] * 3}]}), []),
             (json.dumps([5]), []),
             (json.dumps([5]), ["--dimension", "0"]),
             (json.dumps([{"dimension": 0, "points": 5}]), []),
@@ -349,7 +350,8 @@ class TestPlot:
         ],
         ids=[
             "grids-not-list", "grid-not-dict", "grid-no-coordinates", "grid-short-values",
-            "grid-one-coordinate", "diagram-not-dict", "diagram-not-dict-with-dimension-flag",
+            "grid-one-coordinate", "grid-coordinates-out-of-order", "diagram-not-dict",
+            "diagram-not-dict-with-dimension-flag",
             "points-not-list", "birth-not-number", "dimension-not-int",
             "csv-negative-multiplicity", "csv-negative-degree", "csv-birth-after-death",
             "deeply-nested-json",

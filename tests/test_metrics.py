@@ -88,20 +88,49 @@ class TestBottleneck:
 
     def test_matches_exhaustive_on_tie_heavy_pairs(self):
         # Integer lattice points tie often at the diagonal-move boundary
-        # half-persistence == c, and infinite deaths can only be matched among
-        # themselves.
+        # half-persistence == c. Points born at -inf (as on the extended
+        # descending side) or dying at +inf can only be matched among
+        # themselves, at any finite cost.
         rng = random.Random(59)
 
         def lattice_diagram():
             points = []
             for _ in range(rng.randint(0, 5)):
-                b = rng.randint(0, 4)
-                points.append((b, INF if rng.random() < 0.1 else b + rng.randint(1, 4)))
+                b, kind = rng.randint(0, 4), rng.random()
+                if kind < 0.1:
+                    points.append((b, INF))
+                elif kind < 0.2:
+                    points.append((-INF, b))
+                else:
+                    points.append((b, b + rng.randint(1, 4)))
             return PersistenceDiagram(1, points, [rng.randint(0, 4)] * rng.randint(0, 1))
 
         for _ in range(400):
             d1, d2 = lattice_diagram(), lattice_diagram()
             assert bottleneck(d1, d2) == oracle_bottleneck(d1, d2)
+
+    def test_matches_exhaustive_on_decimal_pairs(self):
+        # Tenths are not exact in binary, so b + c and b - c round past or
+        # short of the points at distance exactly c, which must still count.
+        rng = random.Random(67)
+
+        def decimal_diagram():
+            points = []
+            for _ in range(rng.randint(0, 5)):
+                b = rng.randint(0, 30) / 10
+                points.append((b, b + rng.randint(1, 30) / 10))
+            return PersistenceDiagram(1, points)
+
+        for _ in range(400):
+            d1, d2 = decimal_diagram(), decimal_diagram()
+            assert bottleneck(d1, d2) == oracle_bottleneck(d1, d2)
+
+    def test_overflowing_half_persistence(self):
+        # (-1e308, 1e308) has finite coordinates, but its half-persistence
+        # overflows to inf, so it cannot retire and must take (0, 1).
+        d1 = PersistenceDiagram(1, [(0.0, 1.0)])
+        d2 = PersistenceDiagram(1, [(-1e308, 1e308)])
+        assert bottleneck(d1, d2) == bottleneck(d2, d1) == oracle_bottleneck(d1, d2) == 1e308
 
     def test_large_shifted_pair_needs_no_recursion(self):
         # The identity matching at cost 0.25 is optimal: distinct lattice

@@ -76,7 +76,8 @@ def sample_coordinates(values: tuple[float, ...]) -> list[float]:
         return [0.0, 1.0]
     coords = [finite[0] - 1.0]
     for a, b in zip(finite, finite[1:]):
-        coords.extend([a, (a + b) / 2.0])
+        mid = (a + b) / 2.0  # the halves are summed only where the sum overflows
+        coords.extend([a, mid if math.isfinite(mid) else a / 2.0 + b / 2.0])
     coords.extend([finite[-1], finite[-1] + 1.0])
     return coords
 

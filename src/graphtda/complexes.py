@@ -137,11 +137,13 @@ def _closure(facets: Iterable[Iterable[str]], max_dim: int | None = None) -> set
     return out
 
 
-# Every construction is a family of vertex sets closed under subsets. One
-# level-wise enumerator builds each of them together with its filtration
-# values (the rules are stated in filtrations.py); clique_complex and
+# Every construction is a family of vertex sets closed under subsets, built
+# together with its filtration values (the rules are stated in filtrations.py).
+# Cliques and enclaveless sets grow level by level in _levelwise; the
+# neighborhood family is the closure of the closed neighborhoods, each subset
+# taking its least value over its witnesses. clique_complex and
 # enclaveless_complex drop the values, reading an edge without a weight as
-# weight 0, and neighborhood_complex grows without any.
+# weight 0; neighborhood_complex is from_facets over the closed neighborhoods.
 
 Family = tuple[list[Simplex], list[float]]  # simplices in canonical order, their values
 
@@ -221,28 +223,26 @@ def _clique_family(g: WeightedGraph, max_dim: int | None = None) -> Family:
 def _neighborhood_family(g: WeightedGraph, max_dim: int | None = None) -> Family:
     """Subsets of closed neighborhoods of g, each entering at its earliest witness.
 
-    The state maps every witness c with s inside N[c] to the largest weight
-    among the edges from c to the other members of s; the value is the least
-    of those maxima.
+    Each subset s of N[c] with two or more vertices enters through the witness
+    c at the largest weight among the edges from c to the other members of s;
+    the value is the least over its witnesses. Vertices keep the
+    minimum-incident-weight rule. A simplex is visited once per witness.
     """
-    adj, w = _tables(g)
-    closed = [adj[i] | 1 << i for i in range(len(adj))]
-
-    def grow(s, x, witnesses):
-        reach = 0
-        for c in witnesses:
-            reach |= closed[c]
-        for v in _bits(reach & _above(s[-1])):
-            row = w[v]
-            child = {
-                c: t if c == v else max(t, row[c])
-                for c, t in witnesses.items()
-                if closed[c] >> v & 1
-            }
-            yield v, min(child.values()), child
-
-    roots = [(i, _vertex_value(w[i]), {i: NEG_INF, **w[i]}) for i in range(len(adj))]
-    return _levelwise(g, roots, grow, max_dim)
+    _, w = _tables(g)
+    top = len(w) if max_dim is None else max_dim + 1  # vertices in the largest simplex
+    value = {(i,): _vertex_value(row) for i, row in enumerate(w) if top > 0}
+    for c, row in enumerate(w):
+        members = sorted([c, *row])
+        for k in range(2, min(top, len(members)) + 1):
+            for s in combinations(members, k):
+                x = max([row[u] for u in s if u != c])
+                old = value.get(s)
+                if old is None or x < old:
+                    value[s] = x
+    order = sorted(value)
+    order.sort(key=len)  # stable: (dimension, label) order, as index order is label order
+    labels = g.vertices
+    return [tuple([labels[i] for i in s]) for s in order], [value[s] for s in order]
 
 
 _ENCLAVELESS_VERTEX_GUARD = 20
@@ -292,21 +292,7 @@ def neighborhood_complex(g: WeightedGraph, max_dim: int | None = None) -> Simpli
     The neighborhood of v contains v itself, so every vertex appears even
     when isolated. Facets are the inclusion-maximal closed neighborhoods.
     """
-    adj, _ = _tables(g)
-    closed = [adj[i] | 1 << i for i in range(len(adj))]
-
-    def grow(s, x, witnesses):
-        # witnesses: the c with s inside N[c], that is the intersection of the
-        # members' closed neighborhoods. s + v is admitted iff one of them is
-        # in N[v], that is iff v is in the union of their N[c].
-        reach = 0
-        for c in _bits(witnesses):
-            reach |= closed[c]
-        for v in _bits(reach & _above(s[-1])):
-            yield v, x, witnesses & closed[v]
-
-    roots = [(i, 0.0, closed[i]) for i in range(len(adj))]
-    return SimplicialComplex._from_ordered(_levelwise(g, roots, grow, max_dim)[0])
+    return SimplicialComplex.from_facets([(v, *g.adjacency(v)) for v in g.vertices], max_dim)
 
 
 def enclaveless_complex(g: WeightedGraph, max_dim: int | None = None) -> SimplicialComplex:

@@ -84,11 +84,9 @@ class FilteredComplex:
         order = self._complex._order
         return [order[i] for i in sorted(range(len(order)), key=self._levels.__getitem__)]
 
-    def critical_values(self, finite_only: bool = True) -> tuple[float, ...]:
-        vals = set(self._levels)
-        if finite_only:
-            vals = {v for v in vals if math.isfinite(v)}
-        return tuple(sorted(vals))
+    def critical_values(self) -> tuple[float, ...]:
+        """The distinct finite values, ascending; the sentinels are left out."""
+        return tuple(sorted({v for v in self._levels if math.isfinite(v)}))
 
     def __len__(self) -> int:
         return len(self._levels)

@@ -37,15 +37,28 @@ def decode_value(v) -> float:
         raise DocumentError(f"bad value string {v!r}; only 'inf' and '-inf' are allowed")
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise DocumentError(f"bad value {v!r}; expected a number or 'inf'/'-inf'")
-    x = float(v)
+    x = _as_float(v, "value")
     if math.isnan(x):
         raise DocumentError("NaN is not a valid value")
     return x
 
 
+def _as_float(v: int | float, what: str) -> float:
+    try:
+        return float(v)
+    except OverflowError:
+        raise DocumentError(f"{what} is an integer too large for a float") from None
+
+
 def _count(v, what: str, least: int) -> int:
     if isinstance(v, bool) or not isinstance(v, int) or v < least:
         raise DocumentError(f"{what} must be an integer >= {least}, got {v!r}")
+    return v
+
+
+def _multiplicity(v) -> int:
+    """A multiplicity: an integer >= 1 that converts to a float, as plotting needs."""
+    _as_float(_count(v, "multiplicity", 1), "multiplicity")
     return v
 
 
@@ -135,12 +148,12 @@ def diagram_from_doc(doc) -> PersistenceDiagram:
             DiagramPoint(
                 decode_value(p["birth"]),
                 decode_value(p["death"]),
-                _count(p.get("multiplicity", 1), "multiplicity", 1),
+                _multiplicity(p.get("multiplicity", 1)),
             )
             for p in doc.get("points", ())
         ]
         essential = [
-            EssentialPoint(decode_value(e["birth"]), _count(e.get("multiplicity", 1), "multiplicity", 1))
+            EssentialPoint(decode_value(e["birth"]), _multiplicity(e.get("multiplicity", 1)))
             for e in doc.get("essential", ())
         ]
         return PersistenceDiagram(_count(doc["dimension"], "dimension", 0), points, essential)
@@ -204,7 +217,7 @@ def diagrams_from_csv(text: str) -> list[PersistenceDiagram]:
             r = _count(int(parts[0]), "degree", 0)
             birth = decode_value(float(parts[1]))
             death = decode_value(float(parts[2]))
-            mult = _count(int(parts[3]), "multiplicity", 1)
+            mult = _multiplicity(int(parts[3]))
             if death == math.inf:
                 essential.setdefault(r, []).append(EssentialPoint(birth, mult))
             elif birth < death:

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from graphtda import serialize
+from graphtda import serialize, svg
 from graphtda.cli import main
 from graphtda.metrics import MAX_POINTS
 from graphtda.persistence import PersistenceDiagram
@@ -32,6 +32,7 @@ def run(args, capsys):
     return code, out.out, out.err
 
 
+HUGE = "0" * 400  # after a leading 1: an integer beyond every float
 C4_TEXT = "1 2 1\n2 3 2\n3 4 3\n1 4 4\n"
 K4_TEXT = "a b 1\na c 2\nb c 3\na d 4\nb d 5\nc d 6\n"
 PATH_TEXT = "a b 1\nb c 2\n"
@@ -167,6 +168,18 @@ class TestPersist:
             for j, v in enumerate(coords):
                 assert grid["values"][i][j] == ext.pbn(0, u, v)
 
+    @pytest.mark.parametrize(
+        "text", ["a\nb\n", "a b 1.7e308\nb c 1.75e308\n", "a b -1.7e308\nb c -1.75e308\n"],
+        ids=["isolated-vertices", "near-float-max", "near-minus-float-max"],
+    )
+    def test_extended_coordinates(self, graph_file, capsys, text):
+        code, out, err = run(["persist", graph_file("g.txt", text), "--extended", "--max-dim", "0"], capsys)
+        assert code == 0, err
+        coords = json.loads(out)["grids"][0]["coordinates"]
+        if "1" not in text:  # no finite value: the default lattice
+            assert coords == [0.0, 1.0]
+        assert all(map(math.isfinite, coords)) and coords == sorted(coords)
+
     def test_extended_csv_rejected(self, graph_file, capsys):
         code, _, _ = run(
             ["persist", graph_file("c4.txt", C4_TEXT), "--extended", "--format", "csv"], capsys
@@ -258,6 +271,21 @@ class TestDistance:
         code, _, err = run(["distance", str(d1), str(d2)], capsys)
         assert code == 1 and "degrees differ" in err
 
+    @pytest.mark.parametrize(
+        "doc, code, message",
+        [
+            ({"grids": []}, 2, "expected diagrams, got an extended document"),
+            ([serialize.diagram_to_doc(PersistenceDiagram(r)) for r in (0, 1)], 1,
+             "holds 2 diagrams; pick one with --dimension"),
+        ],
+        ids=["extended-document", "two-diagrams-without-dimension"],
+    )
+    def test_document_without_one_diagram(self, tmp_path, capsys, doc, code, message):
+        p = tmp_path / "d.json"
+        p.write_text(serialize.dumps(doc))
+        got, out, err = run(["distance", str(p), str(p)], capsys)
+        assert got == code and out == "" and message in err
+
     def test_inf_printed_on_essential_mismatch(self, tmp_path, capsys):
         d1 = tmp_path / "a.json"
         d2 = tmp_path / "b.json"
@@ -323,6 +351,26 @@ class TestPlot:
         text = out_path.read_text()
         assert text.count("<rect") > 9
 
+    def test_extended_missing_degree(self, graph_file, tmp_path, capsys):
+        ext_json = tmp_path / "ext.json"
+        run(
+            ["persist", graph_file("c4.txt", C4_TEXT), "--extended", "--max-dim", "1",
+             "--output", str(ext_json)],
+            capsys,
+        )
+        code, out, err = run(["plot", str(ext_json), "--dimension", "2"], capsys)
+        assert code == 1 and out == "" and "no grid of degree 2" in err
+
+    def test_dimension_selects_diagram(self, tmp_path, capsys):
+        docs = [
+            serialize.diagram_to_doc(PersistenceDiagram(0, [(1.0, 2.0)], [0.5])),
+            serialize.diagram_to_doc(PersistenceDiagram(1, [(3.0, 5.0)])),
+        ]
+        p = tmp_path / "d.json"
+        p.write_text(serialize.dumps(docs))
+        code, out, _ = run(["plot", str(p), "--dimension", "1"], capsys)
+        assert code == 0 and out == svg.render_diagrams(docs[1:])
+
     def test_unwritable_output(self, tmp_path, capsys):
         p = tmp_path / "d.json"
         p.write_text(serialize.dumps([serialize.diagram_to_doc(PersistenceDiagram(0))]))
@@ -347,6 +395,10 @@ class TestPlot:
             ("-1,0.0,1.0,1\n", []),
             ("1,2.0,1.0,1\n", []),
             ("[" * 200000 + "]" * 200000, []),
+            ('[{"dimension": 0, "points": [{"birth": 0, "death": 1, "multiplicity": 1%s}]}]' % HUGE, []),
+            ("0,0,1,1%s\n" % HUGE, []),
+            ('[{"dimension": 0, "points": [{"birth": 1%s, "death": "inf"}]}]' % HUGE, []),
+            ('[{"dimension": 0, "points": [{"birth": 0, "death": 1%s}]}]' % HUGE, []),
         ],
         ids=[
             "grids-not-list", "grid-not-dict", "grid-no-coordinates", "grid-short-values",
@@ -354,7 +406,8 @@ class TestPlot:
             "diagram-not-dict-with-dimension-flag",
             "points-not-list", "birth-not-number", "dimension-not-int",
             "csv-negative-multiplicity", "csv-negative-degree", "csv-birth-after-death",
-            "deeply-nested-json",
+            "deeply-nested-json", "huge-multiplicity", "csv-huge-multiplicity", "huge-birth",
+            "huge-death",
         ],
     )
     def test_malformed_document_is_input_error(self, tmp_path, capsys, text, flags):

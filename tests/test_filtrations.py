@@ -84,6 +84,13 @@ class TestFilterNeighborhood:
         fc = filter_neighborhood(g)
         assert fc.value[("u", "v")] == 1
 
+    def test_infinite_weight_still_enters(self):
+        # through the library an edge may weigh +inf; its simplices enter at +inf
+        g = WeightedGraph(["a", "b", "c"], [("a", "b"), ("b", "c")], {("a", "b"): INF, ("b", "c"): 1.0})
+        fc = filter_neighborhood(g)
+        assert fc.value[("a", "b")] == fc.value[("a", "b", "c")] == INF
+        assert fc.value[("b", "c")] == 1.0
+
     def test_triangle_witness_scan(self):
         fc = filter_neighborhood(TRIANGLE)
         assert fc.value[("a", "b", "c")] == 2
@@ -214,7 +221,7 @@ class TestFilteredComplexType:
     def test_critical_values(self):
         pair = extended_pair(PATH)
         assert pair.descending.critical_values() == (-2.0, -1.0)
-        assert -INF in pair.descending.critical_values(finite_only=False)
+        assert -INF in pair.descending.value.values()  # the sentinel is not critical
 
 
 class TestFiltrationInvariants:

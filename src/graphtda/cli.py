@@ -46,6 +46,8 @@ def _read_text(path: str) -> str:
             return fh.read()
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: {exc}") from None
 
 
 def _load_graph(path: str) -> WeightedGraph:
@@ -167,8 +169,9 @@ def _load_document(path: str) -> tuple[dict | list[dict], list[PersistenceDiagra
             return doc, []
         docs = [doc] if isinstance(doc, dict) else doc
         return docs, [serialize.diagram_from_doc(d) for d in docs]
-    except (json.JSONDecodeError, serialize.DocumentError, RecursionError) as exc:
-        # json.loads recurses once per nesting level, so a deep document is malformed input
+    except (ValueError, RecursionError) as exc:
+        # json.loads raises ValueError beyond its digit limit, and recurses once
+        # per nesting level, so a long number or a deep document is malformed input
         raise InputError(f"{path}: {exc}") from None
 
 

@@ -30,7 +30,7 @@ class WeightedGraph:
     every enumeration follows that order so results are deterministic. Weights
     may be partial (constructions such as :func:`complement` produce unweighted
     edges); operations that need weights state so. Instances are immutable
-    after construction and safe to share across workers.
+    after construction.
     """
 
     def __init__(

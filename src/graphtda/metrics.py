@@ -6,11 +6,12 @@ points costing at most c have a matching that covers, on each side, every point
 whose half-persistence exceeds c; the other points retire to the diagonal. A
 forced point's partners at c are the points within sup-norm distance c, so
 each side is sorted by birth and read in windows of births; no cost matrix is
-built. The candidates are 0, the half-persistences and the pair costs, and
-pairs farther apart than every finite half-persistence add nothing new, so
-they too come from windows. Essential points match only among themselves at
-cost |birth - birth'|; when the essential counts differ the distance is +inf,
-since a cornerline cannot be moved to the diagonal at finite cost.
+built. The candidates are 0, the half-persistences and the sup-norm distances
+of pairs closer than the larger of their two half-persistences, so each point
+reads them from its window at its own half-persistence. Essential points
+match only among themselves at cost |birth - birth'|; when the essential
+counts differ the distance is +inf, since a cornerline cannot be moved to the
+diagonal at finite cost.
 """
 
 from __future__ import annotations
@@ -134,20 +135,16 @@ def _neighbours(p: Point, births: list[float], deaths: list[float], c: float) ->
     return [j for j, e in enumerate(deaths[lo:hi], lo) if abs(e - d) <= c or e == d]
 
 
-def _pair_costs(
-    p: Point, hp: float, births: list[float], deaths: list[float], halves: list[float], c: float
-) -> list[float]:
-    """dhat from p, of half-persistence hp, to each point within sup-norm distance c of it."""
+def _distances(p: Point, others: list[Point], births: list[float], c: float) -> list[float]:
+    """Sup-norm distances from p to the points of others within c of it; births are theirs."""
     b, d = p
     lo, hi = _window(births, b, c)
     out = []
-    for a, e, hq in zip(births[lo:hi], deaths[lo:hi], halves[lo:hi]):
+    for a, e in others[lo:hi]:
         dd = 0.0 if e == d else abs(e - d)
         if dd <= c:
             db = 0.0 if a == b else abs(a - b)
-            direct = db if db > dd else dd
-            retire = hp if hp > hq else hq
-            out.append(direct if direct < retire else retire)
+            out.append(db if db > dd else dd)
     return out
 
 
@@ -175,22 +172,14 @@ def _proper_bottleneck(pts1: list[Point], pts2: list[Point]) -> float:
         cols = {j: _neighbours(q, births1, deaths1, c) for j, q in enumerate(pts2) if diag2[j] > c}
         return _covers(cols, len(pts1))
 
-    # The optimum is 0, a finite half-persistence or a finite pair cost
-    # min(direct, max(hp, hq)). A pair farther apart than top, the largest
-    # finite half-persistence, costs max(hp, hq): a candidate already, or
-    # inf. So a point reads its pair costs from its window at top, unless its
-    # half-persistence is inf and the window is unbounded. Such points of pts2
-    # read theirs too: with finite coordinates whose half-persistence
-    # overflows, they pair at a finite cost above top with finite points.
-    finite = [h for h in diag1 + diag2 if h < INF]
-    top = max(finite, default=0.0)
-    candidates = {0.0, *finite}
-    for p, h in zip(pts1, diag1):
-        reach = top if h < INF else _UNBOUNDED
-        candidates.update(_pair_costs(p, h, births2, deaths2, diag2, reach))
-    for q, h in zip(pts2, diag2):
-        if h == INF:
-            candidates.update(_pair_costs(q, h, births1, deaths1, diag1, _UNBOUNDED))
+    # The optimum is 0, a finite half-persistence or the sup-norm distance of a
+    # pair closer than the larger of its half-persistences, since a farther
+    # pair costs that half-persistence. So each point reads the distances
+    # within its own half-persistence; an infinite one reads every finite one.
+    candidates = {0.0, *(h for h in diag1 + diag2 if h < INF)}
+    for pts, diag, others, births in ((pts1, diag1, pts2, births2), (pts2, diag2, pts1, births1)):
+        for p, h in zip(pts, diag):
+            candidates.update(_distances(p, others, births, min(h, _UNBOUNDED)))
     ordered = sorted(candidates)
     k = bisect_left(range(len(ordered)), True, key=lambda i: feasible(ordered[i]))
     return ordered[k] if k < len(ordered) else INF

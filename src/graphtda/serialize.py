@@ -163,7 +163,7 @@ def diagram_from_doc(doc) -> PersistenceDiagram:
 
 def check_grids(grids) -> None:
     """Raise DocumentError unless grids lists extended-PBN grids as `persist
-    --extended` emits them: a degree, n >= 2 nondecreasing coordinates (a
+    --extended` emits them: a degree, n >= 2 finite nondecreasing coordinates (a
     midpoint of two adjacent floats may equal an end), n rows of n counts."""
     for doc in _list(grids, "'grids'"):
         if not isinstance(doc, dict) or not {"dimension", "coordinates", "values"} <= doc.keys():
@@ -174,6 +174,8 @@ def check_grids(grids) -> None:
         rows = _list(doc["values"], "grid values")
         if n < 2 or len(rows) != n or any(len(_list(row, "a grid row")) != n for row in rows):
             raise DocumentError(f"a grid needs n >= 2 coordinates and n rows of n counts, got n = {n}")
+        if not all(math.isfinite(c) for c in coords):
+            raise DocumentError("grid coordinates must be finite")
         if any(b < a for a, b in zip(coords, coords[1:])):
             raise DocumentError("grid coordinates are out of order; they must be nondecreasing")
         for v in (v for row in rows for v in row):
@@ -201,6 +203,15 @@ def diagrams_to_csv(diagrams: Iterable[PersistenceDiagram]) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
+def _csv_value(token: str) -> float:
+    """A CSV birth or death. An integer beyond the float range is refused, as
+    in JSON; any other token reads as float() reads it, 1e999 and inf included."""
+    x = float(token)
+    if math.isinf(x) and token.strip().lstrip("+-").replace("_", "").isdigit():
+        raise DocumentError("value is an integer too large for a float")
+    return decode_value(x)
+
+
 def diagrams_from_csv(text: str) -> list[PersistenceDiagram]:
     """Parse CSV rows back into one diagram per homology degree present,
     checking each row as a JSON point is checked."""
@@ -215,8 +226,8 @@ def diagrams_from_csv(text: str) -> list[PersistenceDiagram]:
             raise DocumentError(f"CSV line {lineno}: expected 4 fields, got {len(parts)}")
         try:
             r = _count(int(parts[0]), "degree", 0)
-            birth = decode_value(float(parts[1]))
-            death = decode_value(float(parts[2]))
+            birth = _csv_value(parts[1])
+            death = _csv_value(parts[2])
             mult = _multiplicity(int(parts[3]))
             if death == math.inf:
                 essential.setdefault(r, []).append(EssentialPoint(birth, mult))

@@ -28,17 +28,22 @@ class _Scale:
             lo, hi = 0.0, 1.0
         self.lo, self.hi = lo, hi
         self.inner = SIZE * (1 - 2 * MARGIN)
+        # A span past the largest float is measured in halves; the factor 1.0
+        # used elsewhere is exact.
+        self.unit = 1.0 if math.isfinite(hi - lo) else 0.5
 
     def clamp(self, x: float) -> float:
         return min(max(x, self.lo), self.hi)
 
+    def _t(self, v: float) -> float:
+        u = self.unit
+        return (self.clamp(v) * u - self.lo * u) / (self.hi * u - self.lo * u)
+
     def x(self, v: float) -> float:
-        t = (self.clamp(v) - self.lo) / (self.hi - self.lo)
-        return SIZE * MARGIN + t * self.inner
+        return SIZE * MARGIN + self._t(v) * self.inner
 
     def y(self, v: float) -> float:
-        t = (self.clamp(v) - self.lo) / (self.hi - self.lo)
-        return SIZE * (1 - MARGIN) - t * self.inner
+        return SIZE * (1 - MARGIN) - self._t(v) * self.inner
 
 
 def _document(body: list[str]) -> str:
@@ -125,7 +130,8 @@ def render_extended_grid(grid_doc: dict) -> str:
     vmax = max((v for row in values for v in row), default=0)
     bounds = [coords[0]]
     for a, b in zip(coords, coords[1:]):
-        bounds.append((a + b) / 2)
+        mid = (a + b) / 2  # the halves are summed only where the sum overflows
+        bounds.append(mid if math.isfinite(mid) else a / 2 + b / 2)
     bounds.append(coords[-1])
     body = []
     for i, u in enumerate(coords):

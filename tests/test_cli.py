@@ -377,6 +377,19 @@ class TestPlot:
         code, _, err = run(["plot", str(p), "--output", str(tmp_path / "nodir" / "x.svg")], capsys)
         assert code == 1 and "cannot write" in err
 
+    def test_spans_past_the_float_range_plot_without_nan(self, graph_file, tmp_path, capsys):
+        # An extended grid over weights of -1.7e308 and 1.7e308, and a diagram
+        # that the plot's padding widens past the largest float.
+        ext = tmp_path / "ext.json"
+        graph = graph_file("extreme.txt", "a b -1.7e308\nb c 1.7e308\n")
+        code, _, _ = run(["persist", graph, "--extended", "--max-dim", "0", "--output", str(ext)], capsys)
+        assert code == 0
+        wide = tmp_path / "wide.json"
+        wide.write_text(serialize.dumps([serialize.diagram_to_doc(PersistenceDiagram(0, [(-8e307, 8e307)]))]))
+        for doc in (ext, wide):
+            code, out, _ = run(["plot", str(doc)], capsys)
+            assert code == 0 and out.startswith("<svg") and "nan" not in out
+
     @pytest.mark.parametrize(
         "text, flags",
         [
@@ -399,6 +412,11 @@ class TestPlot:
             ("0,0,1,1%s\n" % HUGE, []),
             ('[{"dimension": 0, "points": [{"birth": 1%s, "death": "inf"}]}]' % HUGE, []),
             ('[{"dimension": 0, "points": [{"birth": 0, "death": 1%s}]}]' % HUGE, []),
+            ('[{"dimension": 0, "points": [{"birth": 0, "death": 1, "multiplicity": 1%s}]}]' % ("0" * 5000), []),
+            ("1,1%s,inf,1\n" % HUGE, []),
+            ('[{"dimension": 0, "points": [{"birth": NaN, "death": 1}]}]', []),
+            ("0,nan,1,1\n", []),
+            (json.dumps({"grids": [{"dimension": 0, "coordinates": [0, 1, "inf"], "values": [[0] * 3] * 3}]}), []),
         ],
         ids=[
             "grids-not-list", "grid-not-dict", "grid-no-coordinates", "grid-short-values",
@@ -407,7 +425,8 @@ class TestPlot:
             "points-not-list", "birth-not-number", "dimension-not-int",
             "csv-negative-multiplicity", "csv-negative-degree", "csv-birth-after-death",
             "deeply-nested-json", "huge-multiplicity", "csv-huge-multiplicity", "huge-birth",
-            "huge-death",
+            "huge-death", "multiplicity-past-json-digit-limit", "csv-huge-birth", "json-nan-birth",
+            "csv-nan-birth", "grid-infinite-coordinate",
         ],
     )
     def test_malformed_document_is_input_error(self, tmp_path, capsys, text, flags):
@@ -431,10 +450,19 @@ class TestUsage:
             ["persist", graph_file("c4.txt", C4_TEXT), "--max-dim", "-1"],
             ["distance", str(diagrams), str(diagrams), "--dimension", "-1"],
             ["plot", str(diagrams), "--dimension", "-3"],
+            ["persist", graph_file("c4.txt", C4_TEXT), "--max-dim", "abc"],
         ):
             code, out, err = run(args, capsys)
             assert code == 1 and out == ""
-            assert f"argument {args[-2]}: expected a nonnegative integer" in err
+            assert f"argument {args[-2]}: expected a nonnegative integer, got {args[-1]!r}" in err
+
+    def test_undecodable_input_is_input_error(self, tmp_path, capsys):
+        p = tmp_path / "latin1.txt"
+        p.write_bytes(b"a b 1\n\xff\xfe c 2\n")
+        for args in (["persist", str(p)], ["distance", str(p), str(p)]):
+            code, out, err = run(args, capsys)
+            assert code == 2 and out == "", (args, err)
+            assert err.startswith(f"error: {p}: ") and "utf-8" in err, (args, err)
 
     def test_missing_input_file(self, capsys):
         code, _, err = run(["build", "/nonexistent/file.txt"], capsys)

@@ -125,6 +125,33 @@ class TestBottleneck:
             d1, d2 = decimal_diagram(), decimal_diagram()
             assert bottleneck(d1, d2) == oracle_bottleneck(d1, d2)
 
+    def test_matches_exhaustive_on_skewed_pairs(self):
+        # Short bars plus one long bar on either side or both: a point reads
+        # distances only as far as its own half-persistence, so a short bar's
+        # far partner must be read from the long bar's side. A bar whose
+        # half-persistence overflows, only ever in the second diagram, must
+        # read its distances to the first diagram's bars.
+        rng = random.Random(71)
+
+        def skewed_diagram(long_bar):
+            points = []
+            for _ in range(rng.randint(0, 4)):
+                b = rng.randint(0, 20) / 2
+                points.append((b, b + rng.randint(1, 8) / 4))
+            return PersistenceDiagram(1, points + ([long_bar] if long_bar else []))
+
+        def long_bar():
+            return (rng.randint(0, 4) / 2, rng.choice([40.0, 1000.0]))
+
+        for i in range(480):
+            first = long_bar() if i % 4 in (0, 2) else None
+            second = long_bar() if i % 4 in (1, 2) else None
+            if i % 4 == 3:
+                first = long_bar() if rng.random() < 0.5 else None
+                second = (rng.choice([-1e308, -1.7e308]), rng.choice([1e308, 1.7e308]))
+            d1, d2 = skewed_diagram(first), skewed_diagram(second)
+            assert bottleneck(d1, d2) == oracle_bottleneck(d1, d2), (d1, d2)
+
     def test_overflowing_half_persistence(self):
         # (-1e308, 1e308) has finite coordinates, but its half-persistence
         # overflows to inf, so it cannot retire and must take (0, 1).

@@ -1,8 +1,8 @@
-"""SHA-256 digests of `graphtda persist` output on small seeded graphs.
+"""SHA-256 digests of `graphtda persist` and `graphtda distance` output on seeded inputs.
 
-Any change to the bytes of a diagram, a grid or their serialization fails
-here, so a change meant to keep the output identical can be checked by the
-ordinary test run. The digests were taken from a known-good build. Refresh
+Any change to the bytes of a diagram, a grid, a distance or their
+serialization fails here, so a change meant to keep the output identical
+can be checked by the ordinary test run. The digests were taken from a known-good build. Refresh
 them only for a deliberate change of output, by running this file:
 
     PYTHONPATH=src python tests/test_output_digests.py
@@ -10,13 +10,17 @@ them only for a deliberate change of output, by running this file:
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import random
 from itertools import combinations
 
 import pytest
 
+from graphtda import serialize
 from graphtda.cli import main
+from graphtda.persistence import PersistenceDiagram
 
 # construction, or "extended" for the extended pair -> (vertices, edges, seed)
 GRAPHS = {
@@ -68,6 +72,71 @@ def test_persist_output_digest(tmp_path, kind, max_dim):
     assert persist_digest(tmp_path, kind, max_dim) == DIGESTS[kind, max_dim]
 
 
+# Diagram pairs for `distance`: a kind and an index i, drawn from
+# random.Random(f"distance:{kind}:{i}") with 40 + 20 i points per side. A
+# shifted lattice pair moves each point by 0.25, 0.5 (a tie with the unit
+# bars' half-persistence) or 1.5 (past the lattice spacing).
+PAIR_KINDS = ("uniform", "skewed", "shifted", "essential")
+
+DISTANCE_DIGESTS = {
+    ("uniform", 0): "989c0b600abc7de99b1a4226ad14c15317a5a957dbfedbcac0f534738c0ae4ca",
+    ("uniform", 1): "99c1dd9c47387545a33733b2dc1d5c31ccd364f5bf5b0d318be53f6b7d687d4a",
+    ("uniform", 2): "330a5da18069d2dc0183d57cd413af5e5b2079562d65184049b5f90f10051c86",
+    ("skewed", 0): "905d87ab75e0a92c0f228c7addee3cba2030eb02910a69090a6121823e784c43",
+    ("skewed", 1): "65e2bb7db5911ad91bbca31851099f7ecd4bc4d7680dcf8d3e29bfe1ae0fb051",
+    ("skewed", 2): "bc8273a77dbae041863230af8b07a4bb09434dcdae7ada82f0295ed81892a911",
+    ("shifted", 0): "7747240b40ef7064f499d4ddd256767cba251ce7c2cc4b26faf542d9a2c5c104",
+    ("shifted", 1): "8d5c1b5a87c51f970807fc0c2057b3ab3aaf11638ab667dc5956edc8f5bcf138",
+    ("shifted", 2): "03c76d47c407b24353b3121bd96490373bd6c5de05f6b3d32bd420c4810f1160",
+    ("essential", 0): "39ec5715c6da71e135264957b13d8359a75ad91d9415199e7319dadd5ae78f89",
+    ("essential", 1): "46ab8f00d222c639914f3425516503b9cdf6292e2b16fc6c9a212d07c888967b",
+    ("essential", 2): "74bf3c45ce134733145402d8ff843b35811cd76f8c262c7007f3c2439ea2d471",
+}
+
+
+def diagram_pair(kind: str, i: int) -> tuple[PersistenceDiagram, PersistenceDiagram]:
+    rng = random.Random(f"distance:{kind}:{i}")
+    n = 40 + 20 * i
+
+    def bars(reach: float) -> list[tuple[float, float]]:
+        return [(b, b + rng.uniform(0.5, reach)) for b in (rng.uniform(0, 100) for _ in range(n))]
+
+    if kind == "uniform":
+        return PersistenceDiagram(1, bars(30)), PersistenceDiagram(1, bars(30)[: n - 7])
+    if kind == "skewed":
+        # Short bars and one long bar: the usual shape of a diagram.
+        return (
+            PersistenceDiagram(1, bars(3) + [(0.0, 1000.0)]),
+            PersistenceDiagram(1, bars(3) + [(rng.uniform(0, 5), 1000.0)]),
+        )
+    if kind == "shifted":
+        shift = (0.25, 0.5, 1.5)[i]
+        points = sorted({(b, b + rng.randrange(1, 60)) for b in (rng.randrange(200) for _ in range(n))})
+        return PersistenceDiagram(1, points), PersistenceDiagram(1, [(b + shift, d + shift) for b, d in points])
+    births = [rng.randrange(50) for _ in range(3)]
+    return (
+        PersistenceDiagram(1, bars(30), births),
+        PersistenceDiagram(1, bars(30), [b + rng.random() for b in births]),
+    )
+
+
+def distance_digest(tmp_path, kind: str, i: int) -> str:
+    paths = []
+    for side, d in zip("ab", diagram_pair(kind, i)):
+        path = tmp_path / f"{kind}-{i}-{side}.json"
+        path.write_text(serialize.dumps([serialize.diagram_to_doc(d)]), encoding="utf-8")
+        paths.append(str(path))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["distance", *paths]) == 0
+    return hashlib.sha256(out.getvalue().encode()).hexdigest()
+
+
+@pytest.mark.parametrize("kind, i", sorted(DISTANCE_DIGESTS))
+def test_distance_output_digest(tmp_path, kind, i):
+    assert distance_digest(tmp_path, kind, i) == DISTANCE_DIGESTS[kind, i]
+
+
 if __name__ == "__main__":
     import tempfile
     from pathlib import Path
@@ -76,3 +145,6 @@ if __name__ == "__main__":
         for kind in GRAPHS:
             for max_dim in range(4):
                 print(f'    ("{kind}", {max_dim}): "{persist_digest(Path(tmp), kind, max_dim)}",')
+        for kind in PAIR_KINDS:
+            for i in range(3):
+                print(f'    ("{kind}", {i}): "{distance_digest(Path(tmp), kind, i)}",')

@@ -11,7 +11,6 @@ from .complexes import (
     SimplicialComplex,
     Simplex,
     barycentric_subdivision,
-    betti_numbers,
     clique_complex,
     complex_isomorphic,
     enclaveless_complex,
@@ -47,6 +46,7 @@ from .persistence import (
     EssentialPoint,
     ExtendedPersistence,
     PersistenceDiagram,
+    betti_numbers,
     reduce,
 )
 

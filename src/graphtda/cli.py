@@ -225,13 +225,25 @@ def cmd_plot(args) -> int:
 
 
 def _nonnegative(text: str) -> int:
-    """Argument type of --max-dim and --dimension: an integer >= 0."""
+    """Argument type of --dimension, and the first check of --max-dim: an integer >= 0."""
     try:
         n = int(text)
     except ValueError:
         n = -1
     if n < 0:
         raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
+    return n
+
+
+_MAX_DIM = 1000
+
+
+def _max_dim(text: str) -> int:
+    """Argument type of --max-dim: an integer from 0 to _MAX_DIM. Every degree
+    up to it is reduced and written, even past the complex's dimension."""
+    n = _nonnegative(text)
+    if n > _MAX_DIM:
+        raise argparse.ArgumentTypeError(f"{n} is above the limit of {_MAX_DIM}")
     return n
 
 
@@ -246,7 +258,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--construction", choices=CONSTRUCTIONS, default="clique")
-        p.add_argument("--max-dim", dest="max_dim", type=_nonnegative, default=3)
+        p.add_argument("--max-dim", dest="max_dim", type=_max_dim, default=3)
         p.add_argument("--extended", action="store_true")
         p.add_argument("--output", default=None)
 

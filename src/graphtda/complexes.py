@@ -1,8 +1,7 @@
-"""Simplicial complexes built from graphs, plus homology over the two-element field.
+"""Simplicial complexes built from graphs.
 
 Four constructions are provided: cliques, closed neighborhoods, enclaveless
-sets and independent sets. Betti numbers come from boundary-matrix ranks and
-serve as the homology oracle for everything downstream.
+sets and independent sets. Their homology is read in persistence.py.
 """
 
 from __future__ import annotations
@@ -339,41 +338,6 @@ def barycentric_subdivision(k: SimplicialComplex) -> SimplicialComplex:
 def one_skeleton(k: SimplicialComplex) -> WeightedGraph:
     """Graph of the vertices and 1-simplices of k; weights unassigned."""
     return WeightedGraph(k.vertices, [edge(*s) for s in k.simplices_of_dim(1)])
-
-
-def _gf2_rank(columns: Iterable[int]) -> int:
-    pivots: dict[int, int] = {}
-    rank = 0
-    for col in columns:
-        while col:
-            low = col.bit_length() - 1
-            if low in pivots:
-                col ^= pivots[low]
-            else:
-                pivots[low] = col
-                rank += 1
-                break
-    return rank
-
-
-def _boundary_columns(k: SimplicialComplex, r: int) -> list[int]:
-    """Columns of the boundary map from r-chains to (r-1)-chains, as bitmasks
-    over the (r-1)-simplices, read from the face table."""
-    first = k._block(r - 1)[0]
-    lo, hi = k._block(r)
-    return [sum(1 << (f - first) for f in fs) for fs in k._faces[lo:hi]]
-
-
-def betti_numbers(k: SimplicialComplex, max_dim: int) -> tuple[int, ...]:
-    """Betti numbers of k over the two-element field, degrees 0..max_dim.
-
-    Computed from boundary ranks: beta_r = #r-simplices - rank d_r - rank d_{r+1}.
-    """
-    if max_dim < 0:
-        raise ValueError("max_dim must be nonnegative")
-    ranks = [0] + [_gf2_rank(_boundary_columns(k, r)) for r in range(1, max_dim + 2)]
-    sizes = [hi - lo for lo, hi in map(k._block, range(max_dim + 1))]
-    return tuple(n - ranks[r] - ranks[r + 1] for r, n in enumerate(sizes))
 
 
 def complex_isomorphic(a: SimplicialComplex, b: SimplicialComplex) -> bool:

@@ -30,8 +30,9 @@ _UNBOUNDED = sys.float_info.max
 # Points per diagram, multiplicities counted, above which bottleneck refuses.
 # The cost grows about as the square of this count. Two independent diagrams,
 # births U[0, 100) and persistence U[0.5, 30) from random.Random(3), take
-# about 0.5 s and 27 MB of max RSS through `graphtda distance` at 1000 points
-# each, and 2.5 s and 57 MB at 2000 (Python 3.11, 2 CPUs).
+# 0.61-0.72 s and 27 MB of max RSS through `graphtda distance` at 1000 points
+# each, and 1.4-2.2 s (median 1.9 s) and 57 MB at 2000: 5 and 12 separate
+# processes, Python 3.11, 2 CPUs.
 MAX_POINTS = 2000
 
 Point = tuple[float, float]

@@ -1,4 +1,4 @@
-"""Persistence diagrams and persistent Betti number functions.
+"""Persistence diagrams, Betti numbers and persistent Betti number functions.
 
 Diagrams come from persistent cohomology: the coboundary matrix over the
 two-element field is reduced one dimension at a time from degree 0 upward,
@@ -29,6 +29,7 @@ from dataclasses import dataclass
 from itertools import accumulate
 from typing import Iterable
 
+from .complexes import SimplicialComplex
 from .filtrations import ExtendedPair, FilteredComplex
 
 
@@ -188,6 +189,15 @@ def reduce(fc: FilteredComplex, max_dim: int) -> list[PersistenceDiagram]:
         diagrams.append(PersistenceDiagram(d, points, essential))
         cols = rows
     return diagrams
+
+
+def betti_numbers(k: SimplicialComplex, max_dim: int) -> tuple[int, ...]:
+    """Betti numbers of k over the two-element field, degrees 0..max_dim.
+
+    Filtered by one constant value, every pair has birth == death and is
+    dropped, so the essential classes of degree r are exactly beta_r.
+    """
+    return tuple(d.total_essential for d in reduce(FilteredComplex(k, dict.fromkeys(k, 0.0)), max_dim))
 
 
 def _rank_table(d: PersistenceDiagram) -> tuple[list[float], list[float], list[list[int]]]:

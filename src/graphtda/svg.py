@@ -7,6 +7,7 @@ margins, and rounded coordinates keep the output byte-stable across runs.
 from __future__ import annotations
 
 import math
+import sys
 
 from .serialize import decode_value
 
@@ -86,8 +87,9 @@ def render_diagrams(diagram_docs: list[dict]) -> str:
     coords = _finite_coords(diagram_docs)
     if coords:
         lo, hi = min(coords), max(coords)
-        pad = (hi - lo) * 0.1 or 1.0
-        scale = _Scale(lo - pad, hi + pad)
+        span = hi - lo  # taken in halves only where it overflows, as the midpoints are
+        pad = (span * 0.1 if math.isfinite(span) else (hi / 2 - lo / 2) * 0.2) or 1.0
+        scale = _Scale(max(lo - pad, -sys.float_info.max), min(hi + pad, sys.float_info.max))
     else:
         scale = _Scale(0.0, 1.0)
     body = _frame(scale)

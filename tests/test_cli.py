@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import re
 import time
 from pathlib import Path
 
@@ -350,6 +351,8 @@ class TestPlot:
         assert code == 0
         text = out_path.read_text()
         assert text.count("<rect") > 9
+        with pytest.raises(ValueError, match="at least two sample coordinates"):
+            svg.render_extended_grid({"dimension": 0, "coordinates": [0.0], "values": [[1]]})
 
     def test_extended_missing_degree(self, graph_file, tmp_path, capsys):
         ext_json = tmp_path / "ext.json"
@@ -386,9 +389,15 @@ class TestPlot:
         assert code == 0
         wide = tmp_path / "wide.json"
         wide.write_text(serialize.dumps([serialize.diagram_to_doc(PersistenceDiagram(0, [(-8e307, 8e307)]))]))
-        for doc in (ext, wide):
+        widest = tmp_path / "widest.json"
+        widest.write_text(serialize.dumps([serialize.diagram_to_doc(PersistenceDiagram(0, [(-1e308, 1e308), (0, 5)]))]))
+        for doc in (ext, wide, widest):
             code, out, _ = run(["plot", str(doc)], capsys)
             assert code == 0 and out.startswith("<svg") and "nan" not in out
+        # The pad of the widest plot is taken in halves, so it keeps its true range.
+        circles = re.findall(r'<circle cx="([^"]+)" cy="([^"]+)"', out)
+        labels = re.findall(r'font-family="monospace"[^>]*>([^<]+)</text>', out)
+        assert len(set(circles)) == 2 and labels == ["-1.2e+308", "1.2e+308"]
 
     @pytest.mark.parametrize(
         "text, flags",
@@ -446,15 +455,21 @@ class TestUsage:
     def test_negative_max_dim(self, graph_file, tmp_path, capsys):
         diagrams = tmp_path / "d.json"
         diagrams.write_text(serialize.dumps([serialize.diagram_to_doc(PersistenceDiagram(0, [(1, 3)]))]))
-        for args in (
-            ["persist", graph_file("c4.txt", C4_TEXT), "--max-dim", "-1"],
-            ["distance", str(diagrams), str(diagrams), "--dimension", "-1"],
-            ["plot", str(diagrams), "--dimension", "-3"],
-            ["persist", graph_file("c4.txt", C4_TEXT), "--max-dim", "abc"],
+        graph = graph_file("c4.txt", C4_TEXT)
+        for args, message in (
+            (["persist", graph, "--max-dim", "-1"], "expected a nonnegative integer, got '-1'"),
+            (["distance", str(diagrams), str(diagrams), "--dimension", "-1"], "expected a nonnegative integer, got '-1'"),
+            (["plot", str(diagrams), "--dimension", "-3"], "expected a nonnegative integer, got '-3'"),
+            (["persist", graph, "--max-dim", "abc"], "expected a nonnegative integer, got 'abc'"),
+            # Every degree up to --max-dim is reduced and written, so it has a ceiling.
+            (["persist", graph, "--max-dim", "1001"], "1001 is above the limit of 1000"),
+            (["build", graph, "--max-dim", "1000000"], "1000000 is above the limit of 1000"),
         ):
             code, out, err = run(args, capsys)
             assert code == 1 and out == ""
-            assert f"argument {args[-2]}: expected a nonnegative integer, got {args[-1]!r}" in err
+            assert f"argument {args[-2]}: {message}" in err
+        code, out, _ = run(["persist", graph, "--max-dim", "1000"], capsys)
+        assert code == 0 and len(json.loads(out)) == 1001
 
     def test_undecodable_input_is_input_error(self, tmp_path, capsys):
         p = tmp_path / "latin1.txt"

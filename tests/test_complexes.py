@@ -75,6 +75,8 @@ class TestSimplicialComplex:
             simplex([])
         with pytest.raises(ValueError):
             simplex(["a", "a"])
+        with pytest.raises(TypeError, match="must be strings"):
+            simplex([2, 1])
 
     def test_closure_enforced(self):
         with pytest.raises(ValueError, match="not closed"):
@@ -312,6 +314,20 @@ class TestBettiNumbers:
     @given(complexes(max_n=5))
     def test_matches_oracle(self, k):
         assert betti_numbers(k, 3) == oracle_betti(k.simplices, 3)
+
+    def test_seeded_complexes_match_oracle(self):
+        # Capped and uncapped; k.dim + 2 asks for degrees past the last block.
+        rng = random.Random(1311)
+        for case in range(300):
+            vs = [f"v{i}" for i in range(rng.randint(1, 8))]
+            k = SimplicialComplex.from_facets(
+                [rng.sample(vs, rng.randint(1, len(vs))) for _ in range(rng.randint(1, 5))],
+                max_dim=rng.choice((None, None, 1, 2, 3)),
+            )
+            for max_dim in sorted({0, k.dim, k.dim + 2}):
+                assert betti_numbers(k, max_dim) == oracle_betti(k.simplices, max_dim), (case, max_dim)
+        with pytest.raises(ValueError, match="max_dim must be nonnegative"):
+            betti_numbers(k, -1)
 
 
 class TestConstructionInvariants:

@@ -67,6 +67,8 @@ class TestParse:
     def test_format_round_trip(self):
         g = parse_graph("q\na b 1.5\nb c 2.25\n")
         assert parse_graph(format_graph(g)) == g
+        with pytest.raises(ValueError, match="has no weight"):
+            format_graph(K(2))
 
 
 class TestConstructions:
@@ -86,6 +88,8 @@ class TestConstructions:
         t0 = threshold_subgraph(path, 0)
         assert t0.edges == frozenset() and t0.vertices == ("a", "b", "c")
         assert threshold_subgraph(path, 2).edges == path.edges
+        with pytest.raises(ValueError, match="fully weighted"):
+            threshold_subgraph(K(3), 1)
 
     def test_csusp_counts(self):
         s = csusp(C4)
@@ -119,6 +123,10 @@ class TestIsomorphisms:
 
     def test_non_isomorphic_empty(self):
         assert list(isomorphisms(C4, K(4))) == []
+        # Same vertex and edge counts, different degrees: a path against a star.
+        path = WeightedGraph("abcd", [("a", "b"), ("b", "c"), ("c", "d")])
+        star = WeightedGraph("abcd", [("a", "b"), ("a", "c"), ("a", "d")])
+        assert list(isomorphisms(path, star)) == []
 
     def test_path_automorphisms(self):
         p1 = WeightedGraph("abc", [("a", "b"), ("b", "c")])
@@ -164,10 +172,14 @@ class TestValidation:
     def test_loop_edge(self):
         with pytest.raises(ValueError):
             WeightedGraph(["a"], [("a", "a")])
+        with pytest.raises(TypeError, match="must be strings"):
+            WeightedGraph(["a", 1])
 
     def test_weight_for_missing_edge(self):
         with pytest.raises(ValueError):
             WeightedGraph(["a", "b"], [], {("a", "b"): 1.0})
+        with pytest.raises(KeyError, match="has no weight"):
+            K(2).edge_weight("k0", "k1")
 
     def test_nan_weight(self):
         with pytest.raises(ValueError):

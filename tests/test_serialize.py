@@ -41,9 +41,15 @@ class TestComplexDocs:
         assert serialize.complex_from_doc(serialize.complex_to_doc(k)) == k
 
     def test_string_facet_rejected(self):
-        doc = {"vertices": ["a", "b"], "facets": ["ab"]}
-        with pytest.raises(serialize.DocumentError, match="facet must be a list"):
-            serialize.complex_from_doc(doc)
+        for doc, message in (
+            ({"vertices": ["a", "b"], "facets": ["ab"]}, "facet must be a list"),
+            ({"vertices": ["a", "b"]}, "needs 'vertices' and 'facets'"),
+            ([["a", "b"]], "needs 'vertices' and 'facets'"),
+            ({"vertices": ["a"], "facets": [["a", "a"]]}, "bad facet list: .*repeated"),
+            ({"vertices": [1], "facets": [[1]]}, "bad facet list: .*must be strings"),
+        ):
+            with pytest.raises(serialize.DocumentError, match=message):
+                serialize.complex_from_doc(doc)
 
 
 class TestFilteredDocs:
@@ -83,6 +89,14 @@ class TestFilteredDocs:
         }
         with pytest.raises(serialize.DocumentError, match="vertices must be a list"):
             serialize.filtered_from_doc(doc)
+        for doc, message in (
+            ({"vertices": ["a"]}, "needs 'simplices'"),
+            ([{"vertices": ["a"], "value": 0}], "needs 'simplices'"),
+            ({"simplices": [{"vertices": ["a"]}]}, "needs 'vertices' and 'value'"),
+            ({"simplices": [["a"]]}, "needs 'vertices' and 'value'"),
+        ):
+            with pytest.raises(serialize.DocumentError, match=message):
+                serialize.filtered_from_doc(doc)
 
 
 class TestDiagramDocs:
@@ -97,6 +111,7 @@ class TestDiagramDocs:
         loaded = serialize.diagrams_from_csv(text)
         nonempty = [d for d in diagrams if d.points or d.essential]
         assert loaded == nonempty
+        assert serialize.diagrams_from_csv("\n" + text.replace("\n", "\n  \n")) == nonempty
 
     def test_csv_rejects_infinite_proper_death(self):
         d = PersistenceDiagram(0, [(0.0, INF)])

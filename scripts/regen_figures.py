@@ -2,9 +2,10 @@
 """Rebuild the diagram and heatmap figures from the committed example graphs.
 
 Writes SVGs and diagram JSON to out/figures/, or to the directory given as
-the only argument. The console output summarizes the qualitative features
-each construction exposes on data/figures_graph.txt, and the query point at
-which the two extended weightings disagree.
+the only argument, through `graphtda persist` and `graphtda plot`. The console
+output summarizes the qualitative features each construction exposes on
+data/figures_graph.txt, and the query point at which the two extended
+weightings disagree.
 
     python scripts/regen_figures.py [OUT_DIR]
 """
@@ -12,23 +13,23 @@ which the two extended weightings disagree.
 from __future__ import annotations
 
 import argparse
+import json
 import sys
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-from graphtda import (  # noqa: E402
-    extended_pair,
-    filter_clique,
-    filter_enclaveless,
-    filter_neighborhood,
-    parse_graph,
-    serialize,
-    svg,
-)
-from graphtda.cli import sample_coordinates  # noqa: E402
-from graphtda.persistence import ExtendedPersistence, reduce  # noqa: E402
+from graphtda import ExtendedPersistence, extended_pair, parse_graph, serialize  # noqa: E402
+from graphtda.cli import main as graphtda, sample_coordinates  # noqa: E402
+
+
+def run(*args) -> None:
+    """Run one graphtda command; exit naming its arguments if it fails."""
+    argv = [str(a) for a in args]
+    if graphtda(argv) != 0:
+        sys.exit(f"graphtda {' '.join(argv)} failed")
 
 
 def main() -> int:
@@ -39,19 +40,14 @@ def main() -> int:
     )
     out_dir = parser.parse_args().out_dir
     out_dir.mkdir(parents=True, exist_ok=True)
+    data = ROOT / "data"
 
-    g = parse_graph((ROOT / "data" / "figures_graph.txt").read_text())
-    builders = {
-        "clique": filter_clique,
-        "neighborhood": filter_neighborhood,
-        "enclaveless": filter_enclaveless,
-    }
-    for name, build in builders.items():
-        fc = build(g, 4)
-        diagrams = reduce(fc, 2)
-        docs = [serialize.diagram_to_doc(d) for d in diagrams]
-        (out_dir / f"{name}_diagrams.json").write_text(serialize.dumps(docs))
-        (out_dir / f"{name}_diagrams.svg").write_text(svg.render_diagrams(docs))
+    for name in ("clique", "neighborhood", "enclaveless"):
+        diagrams_json = out_dir / f"{name}_diagrams.json"
+        run("persist", data / "figures_graph.txt", "--construction", name,
+            "--max-dim", "2", "--output", diagrams_json)
+        run("plot", diagrams_json, "--output", out_dir / f"{name}_diagrams.svg")
+        diagrams = [serialize.diagram_from_doc(d) for d in json.loads(diagrams_json.read_text())]
         summary = ", ".join(
             f"H{d.dimension}: {d.total_points} proper / {d.total_essential} at infinity"
             for d in diagrams
@@ -59,44 +55,29 @@ def main() -> int:
         print(f"{name:>13}: {summary}")
 
     names = ("extended_a", "extended_b")
-    exts = []
-    for name in names:
-        gx = parse_graph((ROOT / "data" / f"{name}.txt").read_text())
-        pair = extended_pair(gx, 2)
-        ext = ExtendedPersistence(pair, 1)
-        exts.append((ext, pair))
-        coords = sample_coordinates(
-            pair.ascending.critical_values()
-            + tuple(-v for v in pair.descending.critical_values())
-        )
-        grid = {"dimension": 0, "coordinates": coords, "values": ext.grid(0, coords)}
-        (out_dir / f"{name}_grid.svg").write_text(svg.render_extended_grid(grid))
+    with tempfile.TemporaryDirectory() as tmp:
+        for name in names:
+            ext_json = Path(tmp) / f"{name}.json"
+            run("persist", data / f"{name}.txt", "--extended", "--max-dim", "1",
+                "--output", ext_json)
+            run("plot", ext_json, "--output", out_dir / f"{name}_grid.svg")
 
-    (ea, pa), (eb, pb) = exts
+    # No command compares two weightings on one lattice, so this reads the library.
+    pa, pb = (extended_pair(parse_graph((data / f"{name}.txt").read_text()), 2) for name in names)
+    ea, eb = ExtendedPersistence(pa, 1), ExtendedPersistence(pb, 1)
     coords = sample_coordinates(
         pa.ascending.critical_values() + pb.ascending.critical_values()
         + tuple(-v for v in pa.descending.critical_values())
         + tuple(-v for v in pb.descending.critical_values())
     )
-    same_above = all(
-        ea.pbn(0, u, v) == eb.pbn(0, u, v)
-        for u in coords
-        for v in coords
-        if u < v
-    )
-    witnesses = [
-        (u, v)
-        for u in coords
-        for v in coords
-        if u > v and ea.pbn(0, u, v) != eb.pbn(0, u, v)
-    ]
+    pbns = {(u, v): (ea.pbn(0, u, v), eb.pbn(0, u, v)) for u in coords for v in coords}
+    same_above = all(a == b for (u, v), (a, b) in pbns.items() if u < v)
+    witnesses = [(u, v) for (u, v), (a, b) in pbns.items() if u > v and a != b]
     print(f"ascending 0-PBNs identical above the diagonal: {same_above}")
     if witnesses:
         u, v = witnesses[0]
-        print(
-            f"extended 0-PBNs differ below it, e.g. at (u, v) = ({u}, {v}): "
-            f"{ea.pbn(0, u, v)} vs {eb.pbn(0, u, v)}"
-        )
+        a, b = pbns[u, v]
+        print(f"extended 0-PBNs differ below it, e.g. at (u, v) = ({u}, {v}): {a} vs {b}")
     print(f"figures written to {out_dir}")
     return 0
 

@@ -72,15 +72,15 @@ def _write_output(text: str, path: str | None) -> None:
 
 
 def sample_coordinates(values: tuple[float, ...]) -> list[float]:
-    """Deterministic query lattice: criticals, midpoints, one step past each end."""
+    """Deterministic query lattice: finite criticals, midpoints, and one step past
+    each end (serialize.step_past), so its first is below its last; else [0.0, 1.0]."""
     finite = sorted({v for v in values if math.isfinite(v)})
     if not finite:
         return [0.0, 1.0]
-    coords = [finite[0] - 1.0]
+    coords = [serialize.step_past(finite[0], -math.inf)]
     for a, b in zip(finite, finite[1:]):
-        mid = (a + b) / 2.0  # the halves are summed only where the sum overflows
-        coords.extend([a, mid if math.isfinite(mid) else a / 2.0 + b / 2.0])
-    coords.extend([finite[-1], finite[-1] + 1.0])
+        coords.extend([a, serialize.midpoint(a, b)])
+    coords.extend([finite[-1], serialize.step_past(finite[-1], math.inf)])
     return coords
 
 
@@ -200,10 +200,6 @@ def cmd_distance(args) -> int:
 
     d1 = _select_diagram(_load_diagrams(args.first), args.dimension, args.first)
     d2 = _select_diagram(_load_diagrams(args.second), args.dimension, args.second)
-    if d1.dimension != d2.dimension:
-        raise UsageError(
-            f"homology degrees differ: {d1.dimension} vs {d2.dimension}"
-        )
     print(bottleneck(d1, d2))
     return 0
 

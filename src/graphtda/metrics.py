@@ -189,9 +189,7 @@ def _proper_bottleneck(pts1: list[Point], pts2: list[Point]) -> float:
 def bottleneck(d1: PersistenceDiagram, d2: PersistenceDiagram) -> float:
     """Exact bottleneck distance between two diagrams of the same degree."""
     if d1.dimension != d2.dimension:
-        raise ValueError(
-            f"cannot compare diagrams of degrees {d1.dimension} and {d2.dimension}"
-        )
+        raise ValueError(f"homology degrees differ: {d1.dimension} vs {d2.dimension}")
     for d in (d1, d2):
         size = d.total_points + d.total_essential
         if size > MAX_POINTS:

@@ -161,10 +161,25 @@ def diagram_from_doc(doc) -> PersistenceDiagram:
         raise DocumentError(f"bad diagram document: {exc}") from None
 
 
+def midpoint(a: float, b: float) -> float:
+    """(a + b) / 2, with the halves summed only where the sum overflows."""
+    mid = (a + b) / 2.0
+    return mid if math.isfinite(mid) else a / 2.0 + b / 2.0
+
+
+def step_past(x: float, direction: float) -> float:
+    """x moved one unit in direction (math.inf or -math.inf) or, where a unit does
+    not move it (from about 2**53), to the adjacent float; never past the largest float."""
+    y = x + math.copysign(1.0, direction)
+    if y == x:
+        y = math.nextafter(x, direction)
+    return y if math.isfinite(y) else x
+
+
 def check_grids(grids) -> None:
     """Raise DocumentError unless grids lists extended-PBN grids as `persist
-    --extended` emits them: a degree, n >= 2 finite nondecreasing coordinates (a
-    midpoint of two adjacent floats may equal an end), n rows of n counts."""
+    --extended` emits them: a degree, n >= 2 finite nondecreasing coordinates, the
+    first below the last (a midpoint may equal an end), n rows of n counts."""
     for doc in _list(grids, "'grids'"):
         if not isinstance(doc, dict) or not {"dimension", "coordinates", "values"} <= doc.keys():
             raise DocumentError("each grid needs 'dimension', 'coordinates' and 'values'")
@@ -178,6 +193,8 @@ def check_grids(grids) -> None:
             raise DocumentError("grid coordinates must be finite")
         if any(b < a for a, b in zip(coords, coords[1:])):
             raise DocumentError("grid coordinates are out of order; they must be nondecreasing")
+        if coords[0] == coords[-1]:
+            raise DocumentError("grid coordinates span no interval; the first must be below the last")
         for v in (v for row in rows for v in row):
             _count(v, "grid value", 0)
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 import sys
 
-from .serialize import decode_value
+from .serialize import decode_value, midpoint, step_past
 
 SIZE = 600
 MARGIN = 0.05
@@ -88,8 +88,12 @@ def render_diagrams(diagram_docs: list[dict]) -> str:
     if coords:
         lo, hi = min(coords), max(coords)
         span = hi - lo  # taken in halves only where it overflows, as the midpoints are
-        pad = (span * 0.1 if math.isfinite(span) else (hi / 2 - lo / 2) * 0.2) or 1.0
-        scale = _Scale(max(lo - pad, -sys.float_info.max), min(hi + pad, sys.float_info.max))
+        pad = span * 0.1 if math.isfinite(span) else (hi / 2 - lo / 2) * 0.2
+        if pad:
+            lo, hi = lo - pad, hi + pad
+        else:  # one value, or a span whose tenth underflows
+            lo, hi = step_past(lo, -math.inf), step_past(hi, math.inf)
+        scale = _Scale(max(lo, -sys.float_info.max), min(hi, sys.float_info.max))
     else:
         scale = _Scale(0.0, 1.0)
     body = _frame(scale)
@@ -130,11 +134,7 @@ def render_extended_grid(grid_doc: dict) -> str:
         raise ValueError("extended grid needs at least two sample coordinates")
     scale = _Scale(coords[0], coords[-1])
     vmax = max((v for row in values for v in row), default=0)
-    bounds = [coords[0]]
-    for a, b in zip(coords, coords[1:]):
-        mid = (a + b) / 2  # the halves are summed only where the sum overflows
-        bounds.append(mid if math.isfinite(mid) else a / 2 + b / 2)
-    bounds.append(coords[-1])
+    bounds = [coords[0], *(midpoint(a, b) for a, b in zip(coords, coords[1:])), coords[-1]]
     body = []
     for i, u in enumerate(coords):
         for j, _v in enumerate(coords):

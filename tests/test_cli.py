@@ -170,8 +170,9 @@ class TestPersist:
                 assert grid["values"][i][j] == ext.pbn(0, u, v)
 
     @pytest.mark.parametrize(
-        "text", ["a\nb\n", "a b 1.7e308\nb c 1.75e308\n", "a b -1.7e308\nb c -1.75e308\n"],
-        ids=["isolated-vertices", "near-float-max", "near-minus-float-max"],
+        "text",
+        ["a\nb\n", "a b 1.7e308\nb c 1.75e308\n", "a b -1.7e308\nb c -1.75e308\n", "a b 1e300\n"],
+        ids=["isolated-vertices", "near-float-max", "near-minus-float-max", "one-weight-past-2-to-the-53"],
     )
     def test_extended_coordinates(self, graph_file, capsys, text):
         code, out, err = run(["persist", graph_file("g.txt", text), "--extended", "--max-dim", "0"], capsys)
@@ -180,6 +181,9 @@ class TestPersist:
         if "1" not in text:  # no finite value: the default lattice
             assert coords == [0.0, 1.0]
         assert all(map(math.isfinite, coords)) and coords == sorted(coords)
+        # Past 2**53 a unit step does not move a value; the lattice still encloses it.
+        weights = [float(line.split()[2]) for line in text.splitlines() if " " in line]
+        assert all(coords[0] < w < coords[-1] for w in weights)
 
     def test_extended_csv_rejected(self, graph_file, capsys):
         code, _, _ = run(
@@ -398,6 +402,14 @@ class TestPlot:
         circles = re.findall(r'<circle cx="([^"]+)" cy="([^"]+)"', out)
         labels = re.findall(r'font-family="monospace"[^>]*>([^<]+)</text>', out)
         assert len(set(circles)) == 2 and labels == ["-1.2e+308", "1.2e+308"]
+        # One value past 2**53: the pad steps to the adjacent floats, so the
+        # essential ray sits mid-frame under the value's own labels.
+        single = tmp_path / "single.json"
+        single.write_text(serialize.dumps([serialize.diagram_to_doc(PersistenceDiagram(0, [], [1e300]))]))
+        code, out, _ = run(["plot", str(single)], capsys)
+        labels = re.findall(r'font-family="monospace"[^>]*>([^<]+)</text>', out)
+        assert code == 0 and re.search(r'<line x1="300.00" [^>]*stroke-width="2"', out)
+        assert labels == ["1e+300", "1e+300"]
 
     @pytest.mark.parametrize(
         "text, flags",
@@ -426,6 +438,7 @@ class TestPlot:
             ('[{"dimension": 0, "points": [{"birth": NaN, "death": 1}]}]', []),
             ("0,nan,1,1\n", []),
             (json.dumps({"grids": [{"dimension": 0, "coordinates": [0, 1, "inf"], "values": [[0] * 3] * 3}]}), []),
+            (json.dumps({"grids": [{"dimension": 0, "coordinates": [5, 5, 5], "values": [[0] * 3] * 3}]}), []),
         ],
         ids=[
             "grids-not-list", "grid-not-dict", "grid-no-coordinates", "grid-short-values",
@@ -435,7 +448,7 @@ class TestPlot:
             "csv-negative-multiplicity", "csv-negative-degree", "csv-birth-after-death",
             "deeply-nested-json", "huge-multiplicity", "csv-huge-multiplicity", "huge-birth",
             "huge-death", "multiplicity-past-json-digit-limit", "csv-huge-birth", "json-nan-birth",
-            "csv-nan-birth", "grid-infinite-coordinate",
+            "csv-nan-birth", "grid-infinite-coordinate", "grid-coordinates-span-no-interval",
         ],
     )
     def test_malformed_document_is_input_error(self, tmp_path, capsys, text, flags):

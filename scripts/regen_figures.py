@@ -64,20 +64,14 @@ def main() -> int:
 
     # No command compares two weightings on one lattice, so this reads the library.
     pa, pb = (extended_pair(parse_graph((data / f"{name}.txt").read_text()), 2) for name in names)
-    ea, eb = ExtendedPersistence(pa, 1), ExtendedPersistence(pb, 1)
-    coords = sample_coordinates(
-        pa.ascending.critical_values() + pb.ascending.critical_values()
-        + tuple(-v for v in pa.descending.critical_values())
-        + tuple(-v for v in pb.descending.critical_values())
-    )
-    pbns = {(u, v): (ea.pbn(0, u, v), eb.pbn(0, u, v)) for u in coords for v in coords}
-    same_above = all(a == b for (u, v), (a, b) in pbns.items() if u < v)
-    witnesses = [(u, v) for (u, v), (a, b) in pbns.items() if u > v and a != b]
+    coords = sample_coordinates(pa.ascending.critical_values() + pb.ascending.critical_values())
+    ga, gb = (ExtendedPersistence(p, 1).grid(0, coords) for p in (pa, pb))
+    cells = [(u, v, a, b) for u, ra, rb in zip(coords, ga, gb) for v, a, b in zip(coords, ra, rb)]
+    same_above = all(a == b for u, v, a, b in cells if u < v)
+    witness = next(((u, v, a, b) for u, v, a, b in cells if u > v and a != b), None)
     print(f"ascending 0-PBNs identical above the diagonal: {same_above}")
-    if witnesses:
-        u, v = witnesses[0]
-        a, b = pbns[u, v]
-        print(f"extended 0-PBNs differ below it, e.g. at (u, v) = ({u}, {v}): {a} vs {b}")
+    if witness:
+        print("extended 0-PBNs differ below it, e.g. at (u, v) = ({}, {}): {} vs {}".format(*witness))
     print(f"figures written to {out_dir}")
     return 0
 

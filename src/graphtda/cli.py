@@ -120,10 +120,8 @@ def cmd_persist(args) -> int:
         # One extra dimension in the complexes keeps every emitted degree exact.
         pair = extended_pair(g, args.max_dim + 1)
         ext = ExtendedPersistence(pair, args.max_dim)
-        coords = sample_coordinates(
-            pair.ascending.critical_values()
-            + tuple(-v for v in pair.descending.critical_values())
-        )
+        # Edges are in (cap >= 1): the descending finite values are these weights, negated.
+        coords = sample_coordinates(pair.ascending.critical_values())
         doc = {
             "ascending": [serialize.diagram_to_doc(d) for d in ext.ascending],
             "descending": [serialize.diagram_to_doc(d) for d in ext.descending],

@@ -159,7 +159,7 @@ def _tables(g: WeightedGraph) -> tuple[list[int], list[dict[int, float]]]:
     """Adjacency bitmasks and per-vertex {neighbor index: weight} over the sorted vertices."""
     idx = {v: i for i, v in enumerate(g.vertices)}
     rows: list[dict[int, float]] = [{} for _ in g.vertices]
-    for e in g.edges:
+    for e in sorted(g.edges):  # not hash order: a min over a row keeps the first of 0.0, -0.0
         a, b = idx[e[0]], idx[e[1]]
         rows[a][b] = rows[b][a] = g.weight.get(e, 0.0)
     return [sum(1 << j for j in row) for row in rows], rows

@@ -23,6 +23,7 @@ Conventions:
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
@@ -46,12 +47,18 @@ class EssentialPoint:
     multiplicity: int = 1
 
 
+def _multiplicity(m) -> int:
+    if isinstance(m, bool) or not isinstance(m, int) or m < 1:
+        raise ValueError(f"multiplicity must be an int >= 1, got {m!r}")
+    return m
+
+
 class PersistenceDiagram:
     """Multiset of cornerpoints for one homology degree.
 
     Proper points satisfy birth < death; essential points are the classes that
-    never die (cornerpoints at infinity). Coincident points are merged into a
-    single entry with summed multiplicity.
+    never die (cornerpoints at infinity), born at any value but NaN. Coincident
+    points are merged into one entry, summing multiplicities that are ints >= 1.
     """
 
     def __init__(
@@ -63,7 +70,7 @@ class PersistenceDiagram:
         pts: Counter[tuple[float, float]] = Counter()
         for p in points:
             if isinstance(p, DiagramPoint):
-                pts[(p.birth, p.death)] += p.multiplicity
+                pts[(p.birth, p.death)] += _multiplicity(p.multiplicity)
             else:
                 b, d = p
                 pts[(float(b), float(d))] += 1
@@ -73,13 +80,13 @@ class PersistenceDiagram:
         ess: Counter[float] = Counter()
         for e in essential:
             if isinstance(e, EssentialPoint):
-                ess[e.birth] += e.multiplicity
+                ess[e.birth] += _multiplicity(e.multiplicity)
             else:
                 ess[float(e)] += 1
+        if any(math.isnan(b) for b in ess):
+            raise ValueError("essential point needs a birth, got nan")
         self.dimension = int(dimension)
-        self.points = tuple(
-            DiagramPoint(b, d, m) for (b, d), m in sorted(pts.items())
-        )
+        self.points = tuple(DiagramPoint(b, d, m) for (b, d), m in sorted(pts.items()))
         self.essential = tuple(EssentialPoint(b, m) for b, m in sorted(ess.items()))
 
     def rank(self, u: float, v: float) -> int:

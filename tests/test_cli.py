@@ -1,20 +1,24 @@
 import json
 import math
+import os
 import random
 import re
+import subprocess
+import sys
 import time
 from pathlib import Path
 
 import pytest
 
 from graphtda import serialize, svg
-from graphtda.cli import main
+from graphtda.cli import CONSTRUCTIONS, main
 from graphtda.metrics import MAX_POINTS
 from graphtda.persistence import PersistenceDiagram
 from oracles import SublevelRankOracle, oracle_bottleneck
 from randutil import random_diagram
 
 DATA = Path(__file__).parent / "data"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 @pytest.fixture
@@ -197,6 +201,32 @@ class TestPersist:
         assert run(["persist", f, "--output", str(p1)], capsys)[0] == 0
         assert run(["persist", f, "--output", str(p2)], capsys)[0] == 0
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_bytes_independent_of_hash_seed(self, graph_file):
+        # Run in fresh interpreters: in-process runs only ever see one hash seed.
+        # Vertex a has incident weights 0 and -0 in both graphs, so its sign
+        # must not follow the iteration order of the edge set.
+        f = graph_file("signed_zero.txt", "a b 0\na c -0\nb d 1\nc d 2\n")
+        tri = graph_file("signed_zero_tri.txt", "a b 0\na c -0\nb c 5\n")
+        commands = [["persist", tri, "--max-dim", "0", "--format", "csv"]]
+        commands += [["persist", f, "--construction", c] for c in CONSTRUCTIONS if c != "independent"]
+        commands += [["build", f, "--construction", c] for c in CONSTRUCTIONS]
+        commands += [[cmd, f, "--extended"] for cmd in ("persist", "build")]
+        script = (
+            "import json, sys; from graphtda.cli import main; "
+            "sys.exit(any([main(a) for a in json.loads(sys.argv[1])]))"
+        )
+        outputs = []
+        for seed in ("0", "1"):
+            env = {**os.environ, "PYTHONHASHSEED": seed}
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+            outputs.append(subprocess.run(
+                [sys.executable, "-c", script, json.dumps(commands)],
+                env=env, capture_output=True, check=True,
+            ).stdout)
+        assert outputs[0] == outputs[1]
+        # a takes the sign of its edge to b, its first neighbour in label order
+        assert outputs[0].startswith(b"0,0.0,inf,1\n")
 
     def test_neighborhood_construction(self, graph_file, capsys):
         code, out, _ = run(

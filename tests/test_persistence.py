@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +11,7 @@ from graphtda import (
     filter_clique,
     parse_graph,
 )
+from graphtda.cli import sample_coordinates
 from graphtda.filtrations import extended_pair
 from graphtda.persistence import (
     DiagramPoint,
@@ -38,6 +40,29 @@ class TestDiagramType:
     def test_rejects_degenerate_point(self):
         with pytest.raises(ValueError, match="birth < death"):
             PersistenceDiagram(0, [(1, 1)])
+        nan = float("nan")
+        for points in ([(nan, 1.0)], [(0.0, nan)], [DiagramPoint(nan, INF)]):
+            with pytest.raises(ValueError, match="birth < death"):
+                PersistenceDiagram(0, points)
+        for essential in ([nan], [EssentialPoint(nan)], [0.0, EssentialPoint(nan, 2)]):
+            with pytest.raises(ValueError, match="needs a birth"):
+                PersistenceDiagram(0, essential=essential)
+        # Each given multiplicity is checked before coincident points merge:
+        # -2 and 3 would sum to a valid 1, and True would sum to 1.
+        bad = (-2, 0, True, False, 1.0, 2.5, "1", None)
+        for m in bad:
+            with pytest.raises(ValueError, match="multiplicity"):
+                PersistenceDiagram(1, [DiagramPoint(0.0, 4.0, m)])
+            with pytest.raises(ValueError, match="multiplicity"):
+                PersistenceDiagram(1, essential=[EssentialPoint(0.0, m)])
+        with pytest.raises(ValueError, match="multiplicity"):
+            PersistenceDiagram(1, [DiagramPoint(0.0, 4.0, -2), DiagramPoint(0.0, 4.0, 3)])
+        with pytest.raises(ValueError, match="multiplicity"):
+            PersistenceDiagram(
+                1,
+                [DiagramPoint(0.0, 4.0, -2), DiagramPoint(1.0, 2.0, 0)],
+                [EssentialPoint(0.0, 0)],
+            )
 
     def test_rank_counting(self):
         d = PersistenceDiagram(0, [(0.0, 1.0)], [0.0])
@@ -303,6 +328,24 @@ class TestExtended:
                             assert value == ext.descending[r].rank(-u, -v)
                         else:
                             assert value == ext.ascending[r].rank(u, v)
+
+    def test_lattice_reads_ascending_side_alone(self):
+        # The descending side's finite values are the edge weights, negated, once
+        # edges are in (cap >= 1): they add no coordinate, not even a signed zero.
+        rng = random.Random(15)
+        weights = (0.0, -0.0, 1.0, -1.5, 2.0, 3.25, 1e300, -1e300)
+        for density in (0.0, 1.0) + tuple(rng.random() for _ in range(28)):
+            n = rng.randint(1, 7)
+            vs = [f"v{i}" for i in range(n)]
+            ws = {e: rng.choice(weights) for e in combinations(vs, 2) if rng.random() < density}
+            g = WeightedGraph(vs + ["z"] * rng.randint(0, 1), ws.keys(), ws)  # "z" stays isolated
+            for cap in (1, 2, 3):
+                pair = extended_pair(g, cap)
+                both = pair.ascending.critical_values() + tuple(
+                    -v for v in pair.descending.critical_values()
+                )
+                one = sample_coordinates(pair.ascending.critical_values())
+                assert repr(one) == repr(sample_coordinates(both)), (g.weight, cap)
 
     def test_descending_sees_complement_structure(self):
         # complement edges enter the descending pass at -inf

@@ -153,20 +153,18 @@ def cmd_persist(args) -> int:
     return 0
 
 
-def _load_document(path: str) -> tuple[dict | list[dict], list[PersistenceDiagram]]:
-    """The document in path and its diagrams, both checked. An extended
-    document has grids and no diagrams; CSV comes as diagram documents."""
+def _load_document(path: str) -> dict | list[PersistenceDiagram]:
+    """The checked diagrams in path, read from JSON or CSV alike, or an
+    extended document whose grids are checked."""
     text = _read_text(path)
     try:
         if not text.lstrip().startswith(("{", "[")):
-            diagrams = serialize.diagrams_from_csv(text)
-            return [serialize.diagram_to_doc(d) for d in diagrams], diagrams
+            return serialize.diagrams_from_csv(text)
         doc = json.loads(text)
         if isinstance(doc, dict) and "grids" in doc:
             serialize.check_grids(doc["grids"])
-            return doc, []
-        docs = [doc] if isinstance(doc, dict) else doc
-        return docs, [serialize.diagram_from_doc(d) for d in docs]
+            return doc
+        return [serialize.diagram_from_doc(d) for d in ([doc] if isinstance(doc, dict) else doc)]
     except (ValueError, RecursionError) as exc:
         # json.loads raises ValueError beyond its digit limit, and recurses once
         # per nesting level, so a long number or a deep document is malformed input
@@ -174,10 +172,10 @@ def _load_document(path: str) -> tuple[dict | list[dict], list[PersistenceDiagra
 
 
 def _load_diagrams(path: str) -> list[PersistenceDiagram]:
-    doc, diagrams = _load_document(path)
+    doc = _load_document(path)
     if isinstance(doc, dict):
         raise InputError(f"{path}: expected diagrams, got an extended document")
-    return diagrams
+    return doc
 
 
 def _select_diagram(diagrams: list[PersistenceDiagram], dimension: int | None, path: str):
@@ -203,8 +201,7 @@ def cmd_distance(args) -> int:
 
 
 def cmd_plot(args) -> int:
-    doc, _ = _load_document(args.input)
-    # Documents render as read: re-encoding would merge coincident points.
+    doc = _load_document(args.input)
     if isinstance(doc, dict):
         grids = [g for g in doc["grids"] if g["dimension"] == (args.dimension or 0)]
         if not grids:
@@ -212,7 +209,7 @@ def cmd_plot(args) -> int:
         rendered = svg.render_extended_grid(grids[0])
     else:
         if args.dimension is not None:
-            doc = [d for d in doc if d["dimension"] == args.dimension]
+            doc = [d for d in doc if d.dimension == args.dimension]
         rendered = svg.render_diagrams(doc)
     _write_output(rendered, args.output)
     return 0

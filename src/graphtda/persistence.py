@@ -47,18 +47,34 @@ class EssentialPoint:
     multiplicity: int = 1
 
 
-def _multiplicity(m) -> int:
-    if isinstance(m, bool) or not isinstance(m, int) or m < 1:
-        raise ValueError(f"multiplicity must be an int >= 1, got {m!r}")
-    return m
+def _count(v, what: str, least: int) -> int:
+    """v, if it is an int >= least (a bool is refused) that converts to a float."""
+    if isinstance(v, bool) or not isinstance(v, int) or v < least:
+        raise ValueError(f"{what} must be an int >= {least}, got {v!r}")
+    try:
+        float(v)
+    except OverflowError:
+        raise ValueError(f"{what} is an integer too large for a float") from None
+    return v
+
+
+def _proper(points: Iterable[tuple[float, float]]) -> None:
+    """Raise ValueError unless each (birth, death) of a proper point has
+    birth < death, so that neither is NaN."""
+    for b, d in points:
+        if not b < d:
+            raise ValueError(f"proper point needs birth < death, got ({b}, {d})")
 
 
 class PersistenceDiagram:
     """Multiset of cornerpoints for one homology degree.
 
-    Proper points satisfy birth < death; essential points are the classes that
-    never die (cornerpoints at infinity), born at any value but NaN. Coincident
-    points are merged into one entry, summing multiplicities that are ints >= 1.
+    The dimension is an int >= 0. Proper points satisfy birth < death;
+    essential points are the classes that never die (cornerpoints at
+    infinity), born at any value but NaN. Coincident points merge into one
+    entry; each given multiplicity and each total is an int >= 1 that
+    converts to a float. No bool passes for an int. Births and deaths are
+    held as floats, the points sorted.
     """
 
     def __init__(
@@ -70,22 +86,23 @@ class PersistenceDiagram:
         pts: Counter[tuple[float, float]] = Counter()
         for p in points:
             if isinstance(p, DiagramPoint):
-                pts[(p.birth, p.death)] += _multiplicity(p.multiplicity)
+                m = _count(p.multiplicity, "multiplicity", 1)
+                pts[(float(p.birth), float(p.death))] += m
             else:
                 b, d = p
                 pts[(float(b), float(d))] += 1
-        for (b, d), _ in pts.items():
-            if not b < d:
-                raise ValueError(f"proper point needs birth < death, got ({b}, {d})")
+        _proper(pts)
         ess: Counter[float] = Counter()
         for e in essential:
             if isinstance(e, EssentialPoint):
-                ess[e.birth] += _multiplicity(e.multiplicity)
+                ess[float(e.birth)] += _count(e.multiplicity, "multiplicity", 1)
             else:
                 ess[float(e)] += 1
         if any(math.isnan(b) for b in ess):
             raise ValueError("essential point needs a birth, got nan")
-        self.dimension = int(dimension)
+        for totals in (pts.values(), ess.values()):
+            _count(max(totals, default=1), "multiplicity", 1)  # the others are smaller
+        self.dimension = _count(dimension, "dimension", 0)
         self.points = tuple(DiagramPoint(b, d, m) for (b, d), m in sorted(pts.items()))
         self.essential = tuple(EssentialPoint(b, m) for b, m in sorted(ess.items()))
 

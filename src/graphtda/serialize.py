@@ -13,7 +13,7 @@ from typing import Iterable
 
 from .complexes import SimplicialComplex, simplex
 from .filtrations import FilteredComplex
-from .persistence import DiagramPoint, EssentialPoint, PersistenceDiagram
+from .persistence import DiagramPoint, EssentialPoint, PersistenceDiagram, _count, _proper
 
 
 class DocumentError(ValueError):
@@ -37,29 +37,13 @@ def decode_value(v) -> float:
         raise DocumentError(f"bad value string {v!r}; only 'inf' and '-inf' are allowed")
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise DocumentError(f"bad value {v!r}; expected a number or 'inf'/'-inf'")
-    x = _as_float(v, "value")
+    try:
+        x = float(v)
+    except OverflowError:
+        raise DocumentError("value is an integer too large for a float") from None
     if math.isnan(x):
         raise DocumentError("NaN is not a valid value")
     return x
-
-
-def _as_float(v: int | float, what: str) -> float:
-    try:
-        return float(v)
-    except OverflowError:
-        raise DocumentError(f"{what} is an integer too large for a float") from None
-
-
-def _count(v, what: str, least: int) -> int:
-    if isinstance(v, bool) or not isinstance(v, int) or v < least:
-        raise DocumentError(f"{what} must be an integer >= {least}, got {v!r}")
-    return v
-
-
-def _multiplicity(v) -> int:
-    """A multiplicity: an integer >= 1 that converts to a float, as plotting needs."""
-    _as_float(_count(v, "multiplicity", 1), "multiplicity")
-    return v
 
 
 def _list(v, what: str) -> list:
@@ -148,15 +132,15 @@ def diagram_from_doc(doc) -> PersistenceDiagram:
             DiagramPoint(
                 decode_value(p["birth"]),
                 decode_value(p["death"]),
-                _multiplicity(p.get("multiplicity", 1)),
+                p.get("multiplicity", 1),
             )
             for p in doc.get("points", ())
         ]
         essential = [
-            EssentialPoint(decode_value(e["birth"]), _multiplicity(e.get("multiplicity", 1)))
+            EssentialPoint(decode_value(e["birth"]), e.get("multiplicity", 1))
             for e in doc.get("essential", ())
         ]
-        return PersistenceDiagram(_count(doc["dimension"], "dimension", 0), points, essential)
+        return PersistenceDiagram(doc["dimension"], points, essential)
     except (KeyError, TypeError, ValueError) as exc:
         raise DocumentError(f"bad diagram document: {exc}") from None
 
@@ -177,7 +161,7 @@ def step_past(x: float, direction: float) -> float:
 
 
 def check_grids(grids) -> None:
-    """Raise DocumentError unless grids lists extended-PBN grids as `persist
+    """Raise ValueError unless grids lists extended-PBN grids as `persist
     --extended` emits them: a degree, n >= 2 finite nondecreasing coordinates, the
     first below the last (a midpoint may equal an end), n rows of n counts."""
     for doc in _list(grids, "'grids'"):
@@ -242,16 +226,15 @@ def diagrams_from_csv(text: str) -> list[PersistenceDiagram]:
         if len(parts) != 4:
             raise DocumentError(f"CSV line {lineno}: expected 4 fields, got {len(parts)}")
         try:
-            r = _count(int(parts[0]), "degree", 0)
+            r = _count(int(parts[0]), "dimension", 0)
             birth = _csv_value(parts[1])
             death = _csv_value(parts[2])
-            mult = _multiplicity(int(parts[3]))
+            mult = _count(int(parts[3]), "multiplicity", 1)
             if death == math.inf:
                 essential.setdefault(r, []).append(EssentialPoint(birth, mult))
-            elif birth < death:
-                points.setdefault(r, []).append(DiagramPoint(birth, death, mult))
             else:
-                raise DocumentError(f"proper point needs birth < death, got ({birth}, {death})")
+                _proper([(birth, death)])
+                points.setdefault(r, []).append(DiagramPoint(birth, death, mult))
         except ValueError as exc:
             raise DocumentError(f"CSV line {lineno}: {exc}") from None
     degrees = sorted(set(points) | set(essential))

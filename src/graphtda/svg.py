@@ -2,6 +2,10 @@
 
 No plotting dependency: a fixed 600x600 viewport, linear scales with 5%
 margins, and rounded coordinates keep the output byte-stable across runs.
+Diagrams are drawn from checked PersistenceDiagrams, whose coincident points
+are already merged, so a diagram plots alike from JSON and CSV. A grid's
+coordinates must span a finite interval, as check_grids requires; a scale over
+any other interval raises ValueError.
 """
 
 from __future__ import annotations
@@ -9,7 +13,8 @@ from __future__ import annotations
 import math
 import sys
 
-from .serialize import decode_value, midpoint, step_past
+from .persistence import PersistenceDiagram
+from .serialize import midpoint, step_past
 
 SIZE = 600
 MARGIN = 0.05
@@ -22,11 +27,11 @@ def _fmt(x: float) -> str:
 
 
 class _Scale:
-    """Maps a data interval onto the padded viewport, y axis flipped."""
+    """Maps a finite data interval lo < hi onto the padded viewport, y axis flipped."""
 
     def __init__(self, lo: float, hi: float):
-        if not (math.isfinite(lo) and math.isfinite(hi)) or lo >= hi:
-            lo, hi = 0.0, 1.0
+        if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+            raise ValueError(f"cannot scale the interval [{lo}, {hi}]; it needs finite lo < hi")
         self.lo, self.hi = lo, hi
         self.inner = SIZE * (1 - 2 * MARGIN)
         # A span past the largest float is measured in halves; the factor 1.0
@@ -70,21 +75,13 @@ def _frame(scale: _Scale, fill: str = "white") -> list[str]:
     ]
 
 
-def _finite_coords(diagram_docs: list[dict]) -> list[float]:
-    values = [
-        decode_value(p[key])
-        for doc in diagram_docs
-        for p in doc.get("points", ())
-        for key in ("birth", "death")
-    ]
-    values += [decode_value(e["birth"]) for doc in diagram_docs for e in doc.get("essential", ())]
-    return [v for v in values if math.isfinite(v)]
-
-
-def render_diagrams(diagram_docs: list[dict]) -> str:
-    """Diagram plot: diagonal, proper points (area grows with multiplicity),
-    essential births as upward rays. Degrees are overlaid, one color each."""
-    coords = _finite_coords(diagram_docs)
+def render_diagrams(diagrams: list[PersistenceDiagram]) -> str:
+    """Diagram plot: diagonal, each distinct proper point as one circle whose
+    area grows with its multiplicity, essential births as upward rays headed by
+    such a circle. Degrees are overlaid, one color each."""
+    coords = [v for d in diagrams for p in d.points for v in (p.birth, p.death)]
+    coords += [e.birth for d in diagrams for e in d.essential]
+    coords = [v for v in coords if math.isfinite(v)]
     if coords:
         lo, hi = min(coords), max(coords)
         span = hi - lo  # taken in halves only where it overflows, as the midpoints are
@@ -98,26 +95,22 @@ def render_diagrams(diagram_docs: list[dict]) -> str:
         scale = _Scale(0.0, 1.0)
     body = _frame(scale)
     top = SIZE * MARGIN
-    for doc in diagram_docs:
-        color = _DEGREE_COLORS[doc.get("dimension", 0) % len(_DEGREE_COLORS)]
-        for e in doc.get("essential", ()):
-            b = decode_value(e["birth"])
-            px = _fmt(scale.x(b))
+    for d in diagrams:
+        color = _DEGREE_COLORS[d.dimension % len(_DEGREE_COLORS)]
+        for e in d.essential:
+            px = _fmt(scale.x(e.birth))
             body.append(
-                f'<line x1="{px}" y1="{_fmt(scale.y(b))}" x2="{px}" y2="{_fmt(top)}" '
+                f'<line x1="{px}" y1="{_fmt(scale.y(e.birth))}" x2="{px}" y2="{_fmt(top)}" '
                 f'stroke="{color}" stroke-width="2"/>'
             )
             body.append(
-                f'<circle cx="{px}" cy="{_fmt(top)}" r="{_fmt(3.0 * math.sqrt(e.get("multiplicity", 1)))}" '
+                f'<circle cx="{px}" cy="{_fmt(top)}" r="{_fmt(3.0 * math.sqrt(e.multiplicity))}" '
                 f'fill="{color}"/>'
             )
-        for p in doc.get("points", ()):
-            b = decode_value(p["birth"])
-            d = decode_value(p["death"])
-            r = 4.0 * math.sqrt(p.get("multiplicity", 1))
+        for p in d.points:
             body.append(
-                f'<circle cx="{_fmt(scale.x(b))}" cy="{_fmt(scale.y(d))}" r="{_fmt(r)}" '
-                f'fill="{color}" fill-opacity="0.75"/>'
+                f'<circle cx="{_fmt(scale.x(p.birth))}" cy="{_fmt(scale.y(p.death))}" '
+                f'r="{_fmt(4.0 * math.sqrt(p.multiplicity))}" fill="{color}" fill-opacity="0.75"/>'
             )
     return _document(body)
 

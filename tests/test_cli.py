@@ -385,8 +385,15 @@ class TestPlot:
         assert code == 0
         text = out_path.read_text()
         assert text.count("<rect") > 9
-        with pytest.raises(ValueError, match="at least two sample coordinates"):
-            svg.render_extended_grid({"dimension": 0, "coordinates": [0.0], "values": [[1]]})
+        # persist writes no such grid, and check_grids refuses one on load.
+        for coords, message in (
+            ([0.0], "at least two sample coordinates"),
+            ([5, 5], re.escape("[5.0, 5.0]")),
+            ([-math.inf, 1.0], re.escape("[-inf, 1.0]")),
+        ):
+            values = [[1] * len(coords)] * len(coords)
+            with pytest.raises(ValueError, match=message):
+                svg.render_extended_grid({"dimension": 0, "coordinates": coords, "values": values})
 
     def test_extended_missing_degree(self, graph_file, tmp_path, capsys):
         ext_json = tmp_path / "ext.json"
@@ -399,14 +406,66 @@ class TestPlot:
         assert code == 1 and out == "" and "no grid of degree 2" in err
 
     def test_dimension_selects_diagram(self, tmp_path, capsys):
-        docs = [
-            serialize.diagram_to_doc(PersistenceDiagram(0, [(1.0, 2.0)], [0.5])),
-            serialize.diagram_to_doc(PersistenceDiagram(1, [(3.0, 5.0)])),
+        diagrams = [
+            PersistenceDiagram(0, [(1.0, 2.0)], [0.5]),
+            PersistenceDiagram(1, [(3.0, 5.0)]),
         ]
         p = tmp_path / "d.json"
-        p.write_text(serialize.dumps(docs))
+        p.write_text(serialize.dumps([serialize.diagram_to_doc(d) for d in diagrams]))
         code, out, _ = run(["plot", str(p), "--dimension", "1"], capsys)
-        assert code == 0 and out == svg.render_diagrams(docs[1:])
+        assert code == 0 and out == svg.render_diagrams(diagrams[1:])
+
+    def test_json_and_csv_plot_alike(self, tmp_path, capsys):
+        # Coincident points merge into one mark, sized by their total multiplicity.
+        doc = [
+            {"dimension": 0, "points": [], "essential": [{"birth": 0.0}]},
+            {
+                "dimension": 1,
+                "points": [
+                    {"birth": 3.0, "death": 5.0},
+                    {"birth": 1.0, "death": 2.0, "multiplicity": 2},
+                    {"birth": 1.0, "death": 2.0},
+                ],
+                "essential": [{"birth": 0.5}, {"birth": 0.5}],
+            },
+        ]
+        csv = "1,1.0,2.0,3\n1,3.0,5.0,1\n0,0.0,inf,1\n1,0.5,inf,2\n"
+        (tmp_path / "d.json").write_text(json.dumps(doc))
+        (tmp_path / "d.csv").write_text(csv)
+        for flags in ([], ["--dimension", "1"]):
+            code, from_json, _ = run(["plot", str(tmp_path / "d.json"), *flags], capsys)
+            assert code == 0
+            code, from_csv, _ = run(["plot", str(tmp_path / "d.csv"), *flags], capsys)
+            assert code == 0 and from_csv == from_json
+        radii = re.findall(r'<circle [^>]*r="([^"]+)"', from_json)  # degree 1 alone
+        assert radii == [f"{3 * math.sqrt(2):.2f}", f"{4 * math.sqrt(3):.2f}", "4.00"]
+
+    def test_coincident_multiplicities_past_the_float_range(self, tmp_path, capsys):
+        # Each multiplicity converts to a float, their total does not.
+        top = int(sys.float_info.max)
+        point = {"birth": 0.0, "death": 1.0, "multiplicity": top}
+        p = tmp_path / "d.json"
+        p.write_text(json.dumps([{"dimension": 0, "points": [point, point]}]))
+        code, out, err = run(["plot", str(p)], capsys)
+        assert code == 2 and out == "" and "too large for a float" in err
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("1,0.0,1.0,0", "multiplicity"),
+            ("-1,0.0,1.0,1", ">= 0, got -1"),
+            ("1,2.0,1.0,1", "birth < death"),
+            ("1,1.0,1.0,1", "birth < death"),
+        ],
+        ids=["multiplicity-0", "degree-minus-1", "birth-after-death", "birth-at-death"],
+    )
+    def test_csv_error_names_its_line(self, tmp_path, capsys, row, message):
+        p = tmp_path / "bad.csv"
+        p.write_text(f"0,0.0,1.0,1\n\n{row}\n0,0.5,inf,1\n")
+        for command in (["plot", str(p)], ["distance", str(p), str(p)]):
+            code, out, err = run(command, capsys)
+            assert code == 2 and out == ""
+            assert err.startswith(f"error: {p}: CSV line 3: ") and message in err, err
 
     def test_unwritable_output(self, tmp_path, capsys):
         p = tmp_path / "d.json"

@@ -1,7 +1,8 @@
 """The committed figures under out/figures/ reproduce byte for byte, and the
-example scripts run against the public API."""
+example scripts and the README's quick start run against the public API."""
 
 import ast
+import os
 import re
 import subprocess
 import sys
@@ -44,3 +45,24 @@ def test_sphere_zoo_prints_spheres():
         sphere[0] += 1
         sphere[int(k) + SPHERE_OFFSET[family]] += 1
         assert list(betti) == sphere, (family, k)
+
+
+def test_readme_quick_start_prints_its_values():
+    readme = (ROOT / "README.md").read_text()
+    block = re.search(r"## Library quick start\n\n```python\n(.*?)```", readme, re.S).group(1)
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    run = subprocess.run(
+        [sys.executable, "-X", "dev", "-W", "error", "-c", block],
+        cwd=ROOT,
+        env={**os.environ, "PYTHONPATH": path},
+        check=True,
+        capture_output=True,
+        text=True,
+    )
+    assert run.stderr == ""
+    assert run.stdout.splitlines() == [
+        "PersistenceDiagram(dim=2, points=[DiagramPoint(birth=6.0, death=7.0, multiplicity=1)], essential=[])",
+        "1",
+        "1",
+        "[[1, 1], [1, 1]]",
+    ]

@@ -1,4 +1,5 @@
 import random
+import sys
 from itertools import combinations
 
 import pytest
@@ -49,7 +50,7 @@ class TestDiagramType:
                 PersistenceDiagram(0, essential=essential)
         # Each given multiplicity is checked before coincident points merge:
         # -2 and 3 would sum to a valid 1, and True would sum to 1.
-        bad = (-2, 0, True, False, 1.0, 2.5, "1", None)
+        bad = (-2, 0, True, False, 1.0, 2.5, "1", None, 10**400)
         for m in bad:
             with pytest.raises(ValueError, match="multiplicity"):
                 PersistenceDiagram(1, [DiagramPoint(0.0, 4.0, m)])
@@ -63,6 +64,16 @@ class TestDiagramType:
                 [DiagramPoint(0.0, 4.0, -2), DiagramPoint(1.0, 2.0, 0)],
                 [EssentialPoint(0.0, 0)],
             )
+
+    def test_refuses_what_documents_refuse(self):
+        for r in (-1, True, 2.7, "3", None):
+            with pytest.raises(ValueError, match="dimension"):
+                PersistenceDiagram(r)
+        # Each multiplicity converts to a float; the total of the merged point does not.
+        top = int(sys.float_info.max)
+        with pytest.raises(ValueError, match="too large for a float"):
+            PersistenceDiagram(0, [DiagramPoint(0.0, 1.0, top), DiagramPoint(0.0, 1.0, top)])
+        assert PersistenceDiagram(0, [DiagramPoint(0.0, 1.0, top)]).total_points == top
 
     def test_rank_counting(self):
         d = PersistenceDiagram(0, [(0.0, 1.0)], [0.0])

@@ -1,11 +1,28 @@
+import json
+import sys
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphtda import parse_graph, serialize
 from graphtda.complexes import SimplicialComplex
 from graphtda.filtrations import extended_pair, filter_clique
-from graphtda.persistence import PersistenceDiagram, reduce
+from graphtda.persistence import DiagramPoint, EssentialPoint, PersistenceDiagram, reduce
 
 INF = float("inf")
+# Arguments of PersistenceDiagram, valid or near the edges of what it holds:
+# bools, strings, NaN, infinities and integers up to and past the float range.
+_DIMENSIONS = st.one_of(st.integers(0, 1000), st.sampled_from([-1, True, 2.7, "3", None, 10**400]))
+_MULTIPLICITIES = st.one_of(
+    st.integers(1, 3),
+    st.sampled_from([2**1023, int(sys.float_info.max), 10**400, 0, True, 1.0, "2", None]),
+)
+_VALUES = st.one_of(st.floats(), st.integers(-3, 3), st.sampled_from([True, "1.5", 2**1023, 10**400, None]))
+_PAIRS = st.one_of(
+    st.lists(st.floats(allow_nan=False), min_size=2, max_size=2, unique=True).map(sorted),
+    st.tuples(_VALUES, _VALUES),
+)
 
 
 class TestValues:
@@ -103,6 +120,29 @@ class TestDiagramDocs:
     def test_round_trip(self):
         d = PersistenceDiagram(1, [(0.0, 2.0), (-INF, 1.0)], [3.0, -INF])
         assert serialize.diagram_from_doc(serialize.diagram_to_doc(d)) == d
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        dimension=_DIMENSIONS,
+        points=st.lists(
+            st.one_of(
+                _PAIRS.map(tuple),
+                st.builds(lambda pair, m: DiagramPoint(*pair, m), _PAIRS, _MULTIPLICITIES),
+            ),
+            max_size=4,
+        ),
+        essential=st.lists(
+            st.one_of(_VALUES, st.builds(EssentialPoint, _VALUES, _MULTIPLICITIES)),
+            max_size=3,
+        ),
+    )
+    def test_every_accepted_diagram_round_trips(self, dimension, points, essential):
+        try:
+            d = PersistenceDiagram(dimension, points, essential)
+        except (TypeError, ValueError, OverflowError):
+            return  # refused by the type
+        text = serialize.dumps(serialize.diagram_to_doc(d))
+        assert serialize.diagram_from_doc(json.loads(text)) == d
 
     def test_csv_round_trip(self):
         fc = filter_clique(parse_graph("1 2 1\n2 3 2\n3 4 3\n1 4 4"))

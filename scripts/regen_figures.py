@@ -47,7 +47,7 @@ def main() -> int:
         run("persist", data / "figures_graph.txt", "--construction", name,
             "--max-dim", "2", "--output", diagrams_json)
         run("plot", diagrams_json, "--output", out_dir / f"{name}_diagrams.svg")
-        diagrams = [serialize.diagram_from_doc(d) for d in json.loads(diagrams_json.read_text())]
+        diagrams = serialize.diagrams_from_json(json.loads(diagrams_json.read_text()))
         summary = ", ".join(
             f"H{d.dimension}: {d.total_points} proper / {d.total_essential} at infinity"
             for d in diagrams

@@ -154,8 +154,8 @@ def cmd_persist(args) -> int:
 
 
 def _load_document(path: str) -> dict | list[PersistenceDiagram]:
-    """The checked diagrams in path, read from JSON or CSV alike, or an
-    extended document whose grids are checked."""
+    """The checked diagrams in path, one per degree in ascending order, read from JSON
+    or CSV by one rule (serialize), or an extended document whose grids are checked."""
     text = _read_text(path)
     try:
         if not text.lstrip().startswith(("{", "[")):
@@ -164,38 +164,29 @@ def _load_document(path: str) -> dict | list[PersistenceDiagram]:
         if isinstance(doc, dict) and "grids" in doc:
             serialize.check_grids(doc["grids"])
             return doc
-        return [serialize.diagram_from_doc(d) for d in ([doc] if isinstance(doc, dict) else doc)]
+        return serialize.diagrams_from_json(doc)
     except (ValueError, RecursionError) as exc:
         # json.loads raises ValueError beyond its digit limit, and recurses once
         # per nesting level, so a long number or a deep document is malformed input
         raise InputError(f"{path}: {exc}") from None
 
 
-def _load_diagrams(path: str) -> list[PersistenceDiagram]:
-    doc = _load_document(path)
-    if isinstance(doc, dict):
+def _select_diagram(path: str, dimension: int | None) -> PersistenceDiagram:
+    diagrams = _load_document(path)
+    if isinstance(diagrams, dict):
         raise InputError(f"{path}: expected diagrams, got an extended document")
-    return doc
-
-
-def _select_diagram(diagrams: list[PersistenceDiagram], dimension: int | None, path: str):
     if dimension is None:
         if len(diagrams) == 1:
             return diagrams[0]
-        raise UsageError(
-            f"{path} holds {len(diagrams)} diagrams; pick one with --dimension"
-        )
-    for d in diagrams:
-        if d.dimension == dimension:
-            return d
-    return PersistenceDiagram(dimension)
+        raise UsageError(f"{path} holds {len(diagrams)} diagrams; pick one with --dimension")
+    return next((d for d in diagrams if d.dimension == dimension), PersistenceDiagram(dimension))
 
 
 def cmd_distance(args) -> int:
     from .metrics import bottleneck
 
-    d1 = _select_diagram(_load_diagrams(args.first), args.dimension, args.first)
-    d2 = _select_diagram(_load_diagrams(args.second), args.dimension, args.second)
+    d1 = _select_diagram(args.first, args.dimension)
+    d2 = _select_diagram(args.second, args.dimension)
     print(bottleneck(d1, d2))
     return 0
 

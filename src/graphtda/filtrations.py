@@ -47,10 +47,13 @@ class FilteredComplex:
 
     def __init__(self, complex: SimplicialComplex, values: Mapping[Simplex, float]):
         levels: list[float] = []
-        for s in complex._order:
-            if s not in values:
-                raise ValueError(f"no value assigned to simplex {s}")
-            levels.append(float(values[s]))
+        try:
+            for s in complex._order:
+                if s not in values:
+                    raise ValueError(f"no value assigned to simplex {s}")
+                levels.append(float(values[s]))
+        except OverflowError:
+            raise ValueError(f"value for simplex {s} is an integer too large for a float") from None
         if len(values) != len(levels):
             extra = set(values) - complex.simplices
             raise ValueError(f"values given for simplices outside the complex: {sorted(extra)[:3]}")

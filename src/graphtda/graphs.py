@@ -55,7 +55,10 @@ class WeightedGraph:
                 e = edge(*key)
                 if e not in es:
                     raise ValueError(f"weight given for missing edge {e}")
-                w = float(w)
+                try:
+                    w = float(w)
+                except OverflowError:
+                    raise ValueError(f"weight for edge {e} is an integer too large for a float") from None
                 if math.isnan(w):
                     raise ValueError(f"weight for edge {e} is NaN")
                 ws[e] = w

@@ -20,7 +20,7 @@ import math
 import sys
 from bisect import bisect_left, bisect_right
 
-from .graphs import WeightedGraph, isomorphisms
+from .graphs import WeightedGraph, edge, isomorphisms
 from .persistence import PersistenceDiagram
 
 INF = float("inf")
@@ -219,7 +219,7 @@ def pseudodistance_iso(g1: WeightedGraph, g2: WeightedGraph) -> float:
     for psi in isomorphisms(g1, g2):
         cost = 0.0
         for (u, v), w in g1.weight.items():
-            cost = max(cost, _coord_diff(w, g2.weight[_map_edge(psi, u, v)]))
+            cost = max(cost, _coord_diff(w, g2.weight[edge(psi[u], psi[v])]))
             if cost >= best:
                 break
         if cost < best:
@@ -228,7 +228,3 @@ def pseudodistance_iso(g1: WeightedGraph, g2: WeightedGraph) -> float:
                 break
     return best
 
-
-def _map_edge(psi: dict[str, str], u: str, v: str) -> tuple[str, str]:
-    a, b = psi[u], psi[v]
-    return (a, b) if a < b else (b, a)

@@ -125,24 +125,39 @@ def diagram_to_doc(d: PersistenceDiagram) -> dict:
 
 
 def diagram_from_doc(doc) -> PersistenceDiagram:
-    if not isinstance(doc, dict) or "dimension" not in doc:
+    return diagrams_from_json([doc])[0]
+
+
+def diagrams_from_json(doc) -> list[PersistenceDiagram]:
+    """One checked diagram per degree of a diagram document or a list of them, in ascending
+    order. A degree listed more than once reads as one diagram of all its points, as in CSV."""
+    docs = [doc] if isinstance(doc, dict) else _list(doc, "diagram documents")
+    if not all(isinstance(d, dict) and "dimension" in d for d in docs):
         raise DocumentError("diagram document needs 'dimension'")
     try:
-        points = [
-            DiagramPoint(
-                decode_value(p["birth"]),
-                decode_value(p["death"]),
-                p.get("multiplicity", 1),
+        return _pooled(
+            (
+                d["dimension"],
+                (DiagramPoint(decode_value(p["birth"]), decode_value(p["death"]), p.get("multiplicity", 1))
+                 for p in d.get("points", ())),
+                (EssentialPoint(decode_value(e["birth"]), e.get("multiplicity", 1))
+                 for e in d.get("essential", ())),
             )
-            for p in doc.get("points", ())
-        ]
-        essential = [
-            EssentialPoint(decode_value(e["birth"]), e.get("multiplicity", 1))
-            for e in doc.get("essential", ())
-        ]
-        return PersistenceDiagram(doc["dimension"], points, essential)
+            for d in docs
+        )
     except (KeyError, TypeError, ValueError) as exc:
         raise DocumentError(f"bad diagram document: {exc}") from None
+
+
+def _pooled(parts) -> list[PersistenceDiagram]:
+    """One diagram per degree of the (degree, points, essential) triples in parts, in ascending
+    order, holding all its points. A degree is checked before it keys the pool: True is not 1."""
+    pool: dict[int, tuple[list, list]] = {}
+    for r, points, essential in parts:
+        pts, ess = pool.setdefault(_count(r, "dimension", 0), ([], []))
+        pts += points
+        ess += essential
+    return [PersistenceDiagram(r, pts, ess) for r, (pts, ess) in sorted(pool.items())]
 
 
 def midpoint(a: float, b: float) -> float:
@@ -161,13 +176,17 @@ def step_past(x: float, direction: float) -> float:
 
 
 def check_grids(grids) -> None:
-    """Raise ValueError unless grids lists extended-PBN grids as `persist
-    --extended` emits them: a degree, n >= 2 finite nondecreasing coordinates, the
-    first below the last (a midpoint may equal an end), n rows of n counts."""
+    """Raise ValueError unless grids lists extended-PBN grids as `persist --extended` emits
+    them: one grid per degree, n >= 2 finite nondecreasing coordinates, the first below
+    the last (a midpoint may equal an end), n rows of n counts."""
+    degrees = set()
     for doc in _list(grids, "'grids'"):
         if not isinstance(doc, dict) or not {"dimension", "coordinates", "values"} <= doc.keys():
             raise DocumentError("each grid needs 'dimension', 'coordinates' and 'values'")
-        _count(doc["dimension"], "grid dimension", 0)
+        r = _count(doc["dimension"], "grid dimension", 0)
+        if r in degrees:
+            raise DocumentError(f"grid degree {r} is listed twice; a document holds one grid per degree")
+        degrees.add(r)
         coords = [decode_value(c) for c in _list(doc["coordinates"], "grid coordinates")]
         n = len(coords)
         rows = _list(doc["values"], "grid values")
@@ -214,10 +233,9 @@ def _csv_value(token: str) -> float:
 
 
 def diagrams_from_csv(text: str) -> list[PersistenceDiagram]:
-    """Parse CSV rows back into one diagram per homology degree present,
-    checking each row as a JSON point is checked."""
-    points: dict[int, list[DiagramPoint]] = {}
-    essential: dict[int, list[EssentialPoint]] = {}
+    """One diagram per degree present in CSV rows, in ascending order, holding all the rows
+    of that degree (as in JSON); each row is checked as a JSON point is checked."""
+    rows = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
@@ -231,15 +249,10 @@ def diagrams_from_csv(text: str) -> list[PersistenceDiagram]:
             death = _csv_value(parts[2])
             mult = _count(int(parts[3]), "multiplicity", 1)
             if death == math.inf:
-                essential.setdefault(r, []).append(EssentialPoint(birth, mult))
+                rows.append((r, (), (EssentialPoint(birth, mult),)))
             else:
                 _proper([(birth, death)])
-                points.setdefault(r, []).append(DiagramPoint(birth, death, mult))
+                rows.append((r, (DiagramPoint(birth, death, mult),), ()))
         except ValueError as exc:
             raise DocumentError(f"CSV line {lineno}: {exc}") from None
-    degrees = sorted(set(points) | set(essential))
-    return [
-        PersistenceDiagram(r, points.get(r, ()), essential.get(r, ()))
-        for r in degrees
-    ]
-
+    return _pooled(rows)

@@ -321,6 +321,37 @@ class TestDistance:
         got, out, err = run(["distance", str(p), str(p)], capsys)
         assert got == code and out == "" and message in err
 
+    def test_repeated_degree_reads_as_one_diagram(self, tmp_path, capsys):
+        # Degree 1 listed four times, once empty, reads as its CSV twin does:
+        # one diagram holding all its points, (0, 9) twice among them.
+        ones = [
+            {"dimension": 1, "points": [{"birth": 0, "death": 1}]},
+            {"dimension": 1, "points": [{"birth": 0, "death": 9}]},
+            {"dimension": 1, "points": [], "essential": []},
+            {"dimension": 1, "points": [{"birth": 0, "death": 9}]},
+        ]
+        single = tmp_path / "single.json"
+        single.write_text(serialize.dumps(serialize.diagram_to_doc(PersistenceDiagram(1, [(0, 1)]))))
+        (tmp_path / "ones.json").write_text(json.dumps(ones))
+        (tmp_path / "ones.csv").write_text("1,0,1,1\n1,0,9,1\n1,0,9,1\n")
+        # With more degrees, listed out of order, and an empty one.
+        mixed = [{"dimension": 2, "points": []}, ones[3], {"dimension": 0, "essential": [{"birth": 0.5}]}, *ones[:3]]
+        (tmp_path / "mixed.json").write_text(json.dumps(mixed))
+        (tmp_path / "mixed.csv").write_text("1,0,9,1\n0,0.5,inf,1\n1,0,1,1\n1,0,9,1\n")
+        for name, flags in (("ones", []), ("ones", ["--dimension", "1"]), ("mixed", ["--dimension", "1"])):
+            for ext in ("json", "csv"):
+                got = run(["distance", str(tmp_path / f"{name}.{ext}"), str(single), *flags], capsys)
+                assert got == (0, "4.5\n", ""), (name, ext, flags)
+        for name in ("ones", "mixed"):
+            for flags in ([], ["--dimension", "0"], ["--dimension", "1"], ["--dimension", "2"]):
+                code, from_json, _ = run(["plot", str(tmp_path / f"{name}.json"), *flags], capsys)
+                assert code == 0
+                code, from_csv, _ = run(["plot", str(tmp_path / f"{name}.csv"), *flags], capsys)
+                assert code == 0 and from_csv == from_json, (name, flags)
+        code, out, _ = run(["plot", str(tmp_path / "mixed.json"), "--dimension", "1"], capsys)
+        radii = re.findall(r'<circle [^>]*r="([^"]+)"', out)
+        assert code == 0 and radii == ["4.00", f"{4 * math.sqrt(2):.2f}"]  # (0, 1), then (0, 9) twice
+
     def test_inf_printed_on_essential_mismatch(self, tmp_path, capsys):
         d1 = tmp_path / "a.json"
         d2 = tmp_path / "b.json"
@@ -528,6 +559,7 @@ class TestPlot:
             ("0,nan,1,1\n", []),
             (json.dumps({"grids": [{"dimension": 0, "coordinates": [0, 1, "inf"], "values": [[0] * 3] * 3}]}), []),
             (json.dumps({"grids": [{"dimension": 0, "coordinates": [5, 5, 5], "values": [[0] * 3] * 3}]}), []),
+            (json.dumps({"grids": [{"dimension": r, "coordinates": [0, 1], "values": [[0] * 2] * 2} for r in (1, 0, 1)]}), []),
         ],
         ids=[
             "grids-not-list", "grid-not-dict", "grid-no-coordinates", "grid-short-values",
@@ -538,6 +570,7 @@ class TestPlot:
             "deeply-nested-json", "huge-multiplicity", "csv-huge-multiplicity", "huge-birth",
             "huge-death", "multiplicity-past-json-digit-limit", "csv-huge-birth", "json-nan-birth",
             "csv-nan-birth", "grid-infinite-coordinate", "grid-coordinates-span-no-interval",
+            "grid-degree-listed-twice",
         ],
     )
     def test_malformed_document_is_input_error(self, tmp_path, capsys, text, flags):

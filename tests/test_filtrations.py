@@ -180,6 +180,9 @@ class TestFilteredComplexType:
         k = SimplicialComplex.from_facets([("a", "b")])
         with pytest.raises(ValueError, match="no value"):
             FilteredComplex(k, {("a",): 0.0, ("b",): 0.0})
+        message = "value for simplex ('a',) is an integer too large for a float"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            FilteredComplex(SimplicialComplex([("a",)]), {("a",): 10**400})
 
     @pytest.mark.parametrize(
         "levels, message",

@@ -184,6 +184,8 @@ class TestValidation:
     def test_nan_weight(self):
         with pytest.raises(ValueError):
             WeightedGraph(["a", "b"], [("a", "b")], {("a", "b"): float("nan")})
+        with pytest.raises(ValueError, match="is an integer too large for a float"):
+            WeightedGraph(["a", "b"], [("a", "b")], {("a", "b"): 10**400})
 
     def test_endpoints_added(self):
         g = WeightedGraph([], [("a", "b")])

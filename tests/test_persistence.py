@@ -74,6 +74,16 @@ class TestDiagramType:
         with pytest.raises(ValueError, match="too large for a float"):
             PersistenceDiagram(0, [DiagramPoint(0.0, 1.0, top), DiagramPoint(0.0, 1.0, top)])
         assert PersistenceDiagram(0, [DiagramPoint(0.0, 1.0, top)]).total_points == top
+        # So does each birth and death.
+        for points, essential in (
+            ([(10**400, 10**401)], []),
+            ([(0, 10**400)], []),
+            ([DiagramPoint(-(10**400), 1.0)], []),
+            ([], [10**400]),
+            ([], [EssentialPoint(10**400)]),
+        ):
+            with pytest.raises(ValueError, match="is an integer too large for a float"):
+                PersistenceDiagram(0, points, essential)
 
     def test_rank_counting(self):
         d = PersistenceDiagram(0, [(0.0, 1.0)], [0.0])

@@ -27,7 +27,7 @@ from .complexes import (
     _enclaveless_family,
     _neighborhood_family,
 )
-from .graphs import WeightedGraph, edge
+from .graphs import WeightedGraph, _real, edge
 
 INF = float("inf")
 
@@ -41,22 +41,20 @@ class FilteredComplex:
     on demand and `reduce` sorts each dimension block. `value`, a read-only
     mapping, is built on first use and cached. The constructor checks that the
     mapping is total on the complex; `_filtered` hands over the enumerator's
-    value list. Both reject NaN and value(face) > value(simplex), so
-    downstream reductions can trust their input.
+    value list. A given value is an int or a float (no bool, no string) in
+    the float range, held as a float. Both reject NaN and value(face) >
+    value(simplex), so downstream reductions can trust their input.
     """
 
     def __init__(self, complex: SimplicialComplex, values: Mapping[Simplex, float]):
         levels: list[float] = []
-        try:
-            for s in complex._order:
-                if s not in values:
-                    raise ValueError(f"no value assigned to simplex {s}")
-                levels.append(float(values[s]))
-        except OverflowError:
-            raise ValueError(f"value for simplex {s} is an integer too large for a float") from None
+        for s in complex._order:
+            if s not in values:
+                raise ValueError(f"no value assigned to simplex {s}")
+            levels.append(_real(values[s], "value for simplex ", s))
         if len(values) != len(levels):
             extra = set(values) - complex.simplices
-            raise ValueError(f"values given for simplices outside the complex: {sorted(extra)[:3]}")
+            raise ValueError(f"values given for simplices outside the complex: {sorted(extra, key=repr)[:3]}")
         self._build(complex, levels)
 
     def _build(self, complex: SimplicialComplex, levels: list[float]) -> None:

@@ -16,6 +16,18 @@ class GraphParseError(ValueError):
         self.line = line
 
 
+def _real(x, *what) -> float:
+    """x as a float if an int or a float (no bool) in the float range, else ValueError naming what."""
+    if type(x) is float:
+        return x
+    if isinstance(x, (int, float)) and not isinstance(x, bool):
+        try:
+            return float(x)
+        except OverflowError:
+            raise ValueError(f"{''.join(map(str, what))} is an integer too large for a float") from None
+    raise ValueError(f"{''.join(map(str, what))} must be an int or a float (not a bool), got {x!r}")
+
+
 def edge(u: str, v: str) -> Edge:
     """Normalize an unordered vertex pair. Loops are rejected."""
     if u == v:
@@ -27,10 +39,11 @@ class WeightedGraph:
     """Finite simple graph with optional real edge weights.
 
     Vertex identifiers are arbitrary strings, totally ordered lexicographically;
-    every enumeration follows that order so results are deterministic. Weights
-    may be partial (constructions such as :func:`complement` produce unweighted
-    edges); operations that need weights state so. Instances are immutable
-    after construction.
+    every enumeration follows that order so results are deterministic. A weight
+    is an int or a float (no bool, no string) in the float range, not NaN, and
+    is held as a float. Weights may be partial (constructions such as
+    :func:`complement` produce unweighted edges); operations that need weights
+    state so. Instances are immutable after construction.
     """
 
     def __init__(
@@ -55,10 +68,7 @@ class WeightedGraph:
                 e = edge(*key)
                 if e not in es:
                     raise ValueError(f"weight given for missing edge {e}")
-                try:
-                    w = float(w)
-                except OverflowError:
-                    raise ValueError(f"weight for edge {e} is an integer too large for a float") from None
+                w = _real(w, "weight for edge ", e)
                 if math.isnan(w):
                     raise ValueError(f"weight for edge {e} is NaN")
                 ws[e] = w
@@ -148,15 +158,21 @@ def parse_graph(text: str) -> WeightedGraph:
 
 
 def format_graph(g: WeightedGraph) -> str:
-    """Render a graph back to the edge-list format accepted by parse_graph."""
+    """Render a graph back to the edge-list format accepted by parse_graph, which
+    reads it back as g. Labels that are empty, hold whitespace or start with "#",
+    and weights that are not finite, have no text form and are refused."""
     lines = []
     covered = {v for e in g.edges for v in e}
     for v in g.vertices:
+        if not v or v.startswith("#") or any(c.isspace() for c in v):
+            raise ValueError(f"vertex label {v!r} is empty, holds whitespace or starts with '#'")
         if v not in covered:
             lines.append(v)
     for e in g.sorted_edges():
         if e not in g.weight:
             raise ValueError(f"edge {e} has no weight; the text format is fully weighted")
+        if not math.isfinite(g.weight[e]):
+            raise ValueError(f"edge {e} has weight {g.weight[e]}; the text format holds finite weights")
         lines.append(f"{e[0]} {e[1]} {g.weight[e]!r}")
     return "\n".join(lines) + "\n"
 

@@ -32,6 +32,7 @@ from typing import Iterable
 
 from .complexes import SimplicialComplex
 from .filtrations import ExtendedPair, FilteredComplex
+from .graphs import _real
 
 
 @dataclass(frozen=True, order=True)
@@ -73,8 +74,9 @@ class PersistenceDiagram:
     essential points are the classes that never die (cornerpoints at
     infinity), born at any value but NaN. Coincident points merge into one
     entry; each given multiplicity and each total is an int >= 1 that
-    converts to a float. No bool passes for an int. Births and deaths must
-    convert to a float and are held as floats, the points sorted.
+    converts to a float. No bool passes for an int. Births and deaths are
+    ints or floats (no bool, no string) in the float range, held as floats,
+    the points sorted.
     """
 
     def __init__(
@@ -84,23 +86,17 @@ class PersistenceDiagram:
         essential: Iterable[float | EssentialPoint] = (),
     ):
         pts: Counter[tuple[float, float]] = Counter()
-        try:  # float() overflows on an int beyond the float range; one handler, no call per point
-            for p in points:
-                if isinstance(p, DiagramPoint):
-                    m = _count(p.multiplicity, "multiplicity", 1)
-                    pts[(float(p.birth), float(p.death))] += m
-                else:
-                    b, d = p
-                    pts[(float(b), float(d))] += 1
-            _proper(pts)
-            ess: Counter[float] = Counter()
-            for e in essential:
-                if isinstance(e, EssentialPoint):
-                    ess[float(e.birth)] += _count(e.multiplicity, "multiplicity", 1)
-                else:
-                    ess[float(e)] += 1
-        except OverflowError:
-            raise ValueError("a birth or death is an integer too large for a float") from None
+        for p in points:
+            if isinstance(p, DiagramPoint):
+                b, d, m = p.birth, p.death, _count(p.multiplicity, "multiplicity", 1)
+            else:
+                (b, d), m = p, 1
+            pts[(_real(b, "birth"), _real(d, "death"))] += m
+        _proper(pts)
+        ess: Counter[float] = Counter()
+        for e in essential:
+            b, m = (e.birth, _count(e.multiplicity, "multiplicity", 1)) if isinstance(e, EssentialPoint) else (e, 1)
+            ess[_real(b, "essential birth")] += m
         if any(math.isnan(b) for b in ess):
             raise ValueError("essential point needs a birth, got nan")
         for totals in (pts.values(), ess.values()):

@@ -13,6 +13,7 @@ from typing import Iterable
 
 from .complexes import SimplicialComplex, simplex
 from .filtrations import FilteredComplex
+from .graphs import _real
 from .persistence import DiagramPoint, EssentialPoint, PersistenceDiagram, _count, _proper
 
 
@@ -35,12 +36,10 @@ def decode_value(v) -> float:
         if v == "-inf":
             return -math.inf
         raise DocumentError(f"bad value string {v!r}; only 'inf' and '-inf' are allowed")
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise DocumentError(f"bad value {v!r}; expected a number or 'inf'/'-inf'")
     try:
-        x = float(v)
-    except OverflowError:
-        raise DocumentError("value is an integer too large for a float") from None
+        x = _real(v, "value")
+    except ValueError as exc:
+        raise DocumentError(str(exc)) from None
     if math.isnan(x):
         raise DocumentError("NaN is not a valid value")
     return x
@@ -71,8 +70,11 @@ def complex_from_doc(doc) -> SimplicialComplex:
         k = SimplicialComplex.from_facets(facets)
     except (TypeError, ValueError) as exc:
         raise DocumentError(f"bad facet list: {exc}") from None
-    declared = tuple(sorted(_list(doc["vertices"], "'vertices'")))
-    if declared != k.vertices:
+    declared = _list(doc["vertices"], "'vertices'")
+    for v in declared:
+        if not isinstance(v, str):
+            raise DocumentError(f"vertex labels must be strings, got {v!r}")
+    if tuple(sorted(declared)) != k.vertices:
         raise DocumentError("vertex list does not match the facets")
     return k
 

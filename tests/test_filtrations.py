@@ -201,6 +201,9 @@ class TestFilteredComplexType:
         k = SimplicialComplex.from_facets([("a",)])
         with pytest.raises(ValueError, match="outside"):
             FilteredComplex(k, {("a",): 0.0, ("z",): 0.0})
+        # Stray keys of mixed types are named, not sorted against each other.
+        with pytest.raises(ValueError, match=re.escape("outside the complex: ['x', 5]")):
+            FilteredComplex(k, {("a",): 0.0, 5: 1.0, "x": 2.0})
 
     def test_sorted_order_ties_break_by_dimension(self):
         fc = filter_clique(parse_graph("a b 1\nb c 1\na c 1"))

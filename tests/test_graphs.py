@@ -1,8 +1,17 @@
+import math
+import re
+
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphtda import (
+    DiagramPoint,
+    EssentialPoint,
+    FilteredComplex,
     GraphParseError,
+    PersistenceDiagram,
+    SimplicialComplex,
     WeightedGraph,
     complement,
     csusp,
@@ -11,6 +20,7 @@ from graphtda import (
     isomorphisms,
     isusp,
     parse_graph,
+    serialize,
     threshold_subgraph,
 )
 from strategies import graphs
@@ -69,6 +79,87 @@ class TestParse:
         assert parse_graph(format_graph(g)) == g
         with pytest.raises(ValueError, match="has no weight"):
             format_graph(K(2))
+        for w in (math.inf, -math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                format_graph(WeightedGraph("ab", [("a", "b")], {("a", "b"): w}))
+
+    @pytest.mark.parametrize("label", ["", "#b", "a b", "a\tb", "\x1c", "a\u2028"])
+    def test_format_refuses_labels_without_text_form(self, label):
+        g = WeightedGraph(["z", label], [("z", label)], {("z", label): 1.0})
+        with pytest.raises(ValueError, match=re.escape(repr(label))):
+            format_graph(g)
+        with pytest.raises(ValueError, match=re.escape(repr(label))):
+            format_graph(WeightedGraph([label]))
+
+    def test_format_refuses_a_comment_label(self):
+        # "#b a 1.0" would read back as a comment, dropping the edge and both vertices.
+        g = parse_graph("a #b 1\nc d 2\n")
+        with pytest.raises(ValueError, match="'#b'"):
+            format_graph(g)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.text(max_size=3), min_size=2, max_size=5, unique=True),
+        st.lists(st.floats(allow_nan=False), min_size=4, max_size=4),
+    )
+    def test_format_round_trips_whatever_it_accepts(self, labels, weights):
+        es = list(zip(labels, labels[1:]))
+        g = WeightedGraph(labels, es, dict(zip(es, weights)))
+        try:
+            text = format_graph(g)
+        except ValueError:
+            return
+        assert parse_graph(text) == g
+
+
+# Each entry point stores one real value x and returns what it holds for it.
+_REAL_ENTRIES = {
+    "weight": (
+        lambda x: WeightedGraph("ab", [("a", "b")], {("a", "b"): x}).weight[("a", "b")],
+        "weight for edge ('a', 'b')",
+    ),
+    "filtration value": (
+        lambda x: FilteredComplex(SimplicialComplex([("a",)]), {("a",): x}).value[("a",)],
+        "value for simplex ('a',)",
+    ),
+    "point birth": (lambda x: PersistenceDiagram(0, [(x, math.inf)]).points[0].birth, "birth"),
+    "point death": (lambda x: PersistenceDiagram(0, [(-math.inf, x)]).points[0].death, "death"),
+    "DiagramPoint birth": (
+        lambda x: PersistenceDiagram(0, [DiagramPoint(x, math.inf)]).points[0].birth,
+        "birth",
+    ),
+    "DiagramPoint death": (
+        lambda x: PersistenceDiagram(0, [DiagramPoint(-math.inf, x)]).points[0].death,
+        "death",
+    ),
+    "essential birth": (lambda x: PersistenceDiagram(0, [], [x]).essential[0].birth, "essential birth"),
+    "EssentialPoint birth": (
+        lambda x: PersistenceDiagram(0, [], [EssentialPoint(x)]).essential[0].birth,
+        "essential birth",
+    ),
+    "document value": (serialize.decode_value, "value"),
+}
+_REFUSED = {"True": True, "False": False, "'2.5'": "2.5", "' inf '": " inf ", "None": None, "object": object()}
+_ACCEPTED = {"1": 1, "1.5": 1.5, "inf": math.inf, "-inf": -math.inf, "10**300": 10**300}
+# A proper point needs birth < death: its birth is never inf, its death never -inf.
+_DEGENERATE = {("point birth", "inf"), ("DiagramPoint birth", "inf"), ("point death", "-inf"),
+               ("DiagramPoint death", "-inf")}
+
+
+@pytest.mark.parametrize(
+    "entry, value",
+    [(e, v) for e in _REAL_ENTRIES for v in [*_REFUSED, *_ACCEPTED] if (e, v) not in _DEGENERATE],
+)
+def test_one_rule_reads_every_real_value(entry, value):
+    """Weights, filtration values, births and deaths, and document values read by one rule:
+    an int or a float, not a bool or a string, held as a float."""
+    store, field = _REAL_ENTRIES[entry]
+    if value in _REFUSED:
+        with pytest.raises(ValueError, match=re.escape(field)):
+            store(_REFUSED[value])
+    else:
+        held = store(_ACCEPTED[value])
+        assert type(held) is float and held == float(_ACCEPTED[value])
 
 
 class TestConstructions:

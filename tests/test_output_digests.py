@@ -1,7 +1,7 @@
-"""SHA-256 digests of `graphtda persist` and `graphtda distance` output on seeded inputs.
+"""SHA-256 digests of `graphtda build`, `persist` and `distance` output on seeded inputs.
 
-Any change to the bytes of a diagram, a grid, a distance or their
-serialization fails here, so a change meant to keep the output identical
+Any change to the bytes of a complex, a diagram, a grid, a distance or their
+serialization, in JSON or CSV, fails here, so a change meant to keep the output identical
 can be checked by the ordinary test run. The digests were taken from a known-good build. Refresh
 them only for a deliberate change of output, by running this file:
 
@@ -58,18 +58,76 @@ def gnm_text(n: int, m: int, seed: int) -> str:
     return "".join(f"{a} {b} {rng.randrange(40) / 4}\n" for a, b in edges) + "z\n"
 
 
-def persist_digest(tmp_path, kind: str, max_dim: int) -> str:
+def persist_digest(tmp_path, kind: str, max_dim: int, command: str = "persist", *flags: str) -> str:
+    """Digest of `graphtda COMMAND` on the graph of kind; the independent-set
+    construction, which only `build` runs, reads the neighborhood graph."""
     graph = tmp_path / f"{kind}.txt"
-    graph.write_text(gnm_text(*GRAPHS[kind]), encoding="utf-8")
-    out = tmp_path / f"{kind}-{max_dim}.json"
-    flags = ["--extended"] if kind == "extended" else ["--construction", kind]
-    assert main(["persist", str(graph), *flags, "--max-dim", str(max_dim), "--output", str(out)]) == 0
+    graph.write_text(gnm_text(*GRAPHS.get(kind, GRAPHS["neighborhood"])), encoding="utf-8")
+    out = tmp_path / f"{command}-{kind}-{max_dim}.out"
+    construction = ["--extended"] if kind == "extended" else ["--construction", kind]
+    argv = [command, str(graph), *construction, "--max-dim", str(max_dim), *flags, "--output", str(out)]
+    assert main(argv) == 0
     return hashlib.sha256(out.read_bytes()).hexdigest()
 
 
 @pytest.mark.parametrize("kind, max_dim", sorted(DIGESTS))
 def test_persist_output_digest(tmp_path, kind, max_dim):
     assert persist_digest(tmp_path, kind, max_dim) == DIGESTS[kind, max_dim]
+
+
+BUILD_KINDS = ("clique", "neighborhood", "enclaveless", "independent", "extended")
+
+BUILD_DIGESTS = {
+    ("clique", 0): "1310ef71f1a3198633c716cbd2fbd2714218eb16baa840a3f036630b5e549350",
+    ("clique", 1): "04dab7610c2bd9fb1e3a1acfb7ff0fb3c99f74a4925c255b04a6566739114c33",
+    ("clique", 2): "20eb8e9fdf892a8a6d5c2df407f36a7a9764b3fa75bb03c6449549c1580bd769",
+    ("clique", 3): "a658a8d13f86286d2753b565705a4c96363e765b0a368ea39341a4d916230716",
+    ("neighborhood", 0): "df162e2319b63b9d1fc7b734028e7bee5228b693bb04386ff1c2e6543ce3537b",
+    ("neighborhood", 1): "124d2e47f2521b22cad563f8ad88620d874c1459d64cd3cb7b93b1b9bea1ce6c",
+    ("neighborhood", 2): "2c172e625bce4bfeb4b88c14584bf300ab4f5864a55229d992ec45e34bc9c342",
+    ("neighborhood", 3): "ccbb2228a2ae81baa90497540adf240ebbcc1919bc1777d98a0a602792eeb2f2",
+    ("enclaveless", 0): "c6b370f57fb341747d4e9891fd41eaf3d1408f7cdbc3e29f41b07aaab0376162",
+    ("enclaveless", 1): "7f46bcff97d8e089a24bf28ce82e88ee43b2ab63f709cd7768283987cb26b85b",
+    ("enclaveless", 2): "efba9a89324b935377214a6945209c7a134d0235f39d444cf6323ef90d20b62d",
+    ("enclaveless", 3): "7b070711490ed51faae20bed68d71811a1e411e16ec413edac1ee5e9af27a461",
+    ("independent", 0): "7d5b573a196e95a7e9151a1c2e397e5a7948fbd425eec5bca142575cca7ee5c6",
+    ("independent", 1): "35e341bb3e60492959669006fa0b9300cbaeda7741e130a8e50f884cc1f61f0a",
+    ("independent", 2): "5b62015694b4e123b888910e5062cb29c8b9ae2cc8360338fcfd0502a1b62bdd",
+    ("independent", 3): "3ae9ec7250929d94b2eba1f3d22e9b414e12d3877d6782104dc3537817213596",
+    ("extended", 0): "f39d3e87437e6d8164e59afc098f29a344a3300090b3301cb7823d8d099ec8d2",
+    ("extended", 1): "71f994f3d37b1a3be072c9355175d8eee507dbb93878aa3a374aea825b62d28f",
+    ("extended", 2): "72eaec0f63ab8ceefca887de7bae52bf02ed918f0306cf67348fbeda6ebf6f16",
+    ("extended", 3): "dc02507ef01fe1cceb40f2ff74f3461472702b19be355e0ddabe424d1b1e2aae",
+}
+
+
+@pytest.mark.parametrize("kind, max_dim", sorted(BUILD_DIGESTS))
+def test_build_output_digest(tmp_path, kind, max_dim):
+    assert persist_digest(tmp_path, kind, max_dim, "build") == BUILD_DIGESTS[kind, max_dim]
+
+
+# Extended output carries grids and is JSON only.
+CSV_KINDS = ("clique", "neighborhood", "enclaveless")
+
+CSV_DIGESTS = {
+    ("clique", 0): "9bfee18e737f69a6f927206527209bd7838e804b90e0d43b6de7b04c2e181f42",
+    ("clique", 1): "0e31f9f43468543e71261e634d856391f6f7e3240f8f5168cc401bba8be359cf",
+    ("clique", 2): "a7a9a36debf96260b938bf375f960377c61cf99932d6e5bdff59dbbf9125f67f",
+    ("clique", 3): "6069be9df3699448b82b4b53975b93c3ce19b2720ba88f779afd610463725505",
+    ("neighborhood", 0): "29f799dbb0539d55a619ee44a47ac2613ec68a33e85689b329479fc6627cc965",
+    ("neighborhood", 1): "12a3cbfb1e0016ab9cfdcf398e4bc4d79f859ea960893a966936a496f98eebc8",
+    ("neighborhood", 2): "cd31c6595a18868520afafe3bbd9a016578f04f368095479afec8ea65067d4a5",
+    ("neighborhood", 3): "cd31c6595a18868520afafe3bbd9a016578f04f368095479afec8ea65067d4a5",
+    ("enclaveless", 0): "1c1cfcc6fb989af9832d80416b1802e9d71a139a6ef493cd63479da70a85b0eb",
+    ("enclaveless", 1): "63a87465ac3441a234be77a6bcd086aa29ce21cabac98d5f95c9d18d7b9957a9",
+    ("enclaveless", 2): "130a200dced0b5f5d4469320848441c0ca60b0aab45a832a0461c0199dc8a766",
+    ("enclaveless", 3): "7e34bb936fbfca2abe7288d2ff7f4903cb3b911e632952affb919b6258767575",
+}
+
+
+@pytest.mark.parametrize("kind, max_dim", sorted(CSV_DIGESTS))
+def test_persist_csv_output_digest(tmp_path, kind, max_dim):
+    assert persist_digest(tmp_path, kind, max_dim, "persist", "--format", "csv") == CSV_DIGESTS[kind, max_dim]
 
 
 # Diagram pairs for `distance`: a kind and an index i, drawn from
@@ -141,10 +199,19 @@ if __name__ == "__main__":
     import tempfile
     from pathlib import Path
 
-    with tempfile.TemporaryDirectory() as tmp:
-        for kind in GRAPHS:
+    def table(name, kinds, *args):
+        print(f"{name} = {{")
+        for kind in kinds:
             for max_dim in range(4):
-                print(f'    ("{kind}", {max_dim}): "{persist_digest(Path(tmp), kind, max_dim)}",')
+                print(f'    ("{kind}", {max_dim}): "{persist_digest(Path(tmp), kind, max_dim, *args)}",')
+        print("}")
+
+    with tempfile.TemporaryDirectory() as tmp:
+        table("DIGESTS", GRAPHS)
+        table("BUILD_DIGESTS", BUILD_KINDS, "build")
+        table("CSV_DIGESTS", CSV_KINDS, "persist", "--format", "csv")
+        print("DISTANCE_DIGESTS = {")
         for kind in PAIR_KINDS:
             for i in range(3):
                 print(f'    ("{kind}", {i}): "{distance_digest(Path(tmp), kind, i)}",')
+        print("}")

@@ -64,6 +64,7 @@ class TestComplexDocs:
             ([["a", "b"]], "needs 'vertices' and 'facets'"),
             ({"vertices": ["a"], "facets": [["a", "a"]]}, "bad facet list: .*repeated"),
             ({"vertices": [1], "facets": [[1]]}, "bad facet list: .*must be strings"),
+            ({"vertices": [1, "a"], "facets": [["a"]]}, "vertex labels must be strings, got 1"),
         ):
             with pytest.raises(serialize.DocumentError, match=message):
                 serialize.complex_from_doc(doc)
@@ -141,6 +142,8 @@ class TestDiagramDocs:
             d = PersistenceDiagram(dimension, points, essential)
         except (TypeError, ValueError):
             return  # refused by the type
+        assert all(type(x) is float for p in d.points for x in (p.birth, p.death))
+        assert all(type(e.birth) is float for e in d.essential)
         text = serialize.dumps(serialize.diagram_to_doc(d))
         assert serialize.diagram_from_doc(json.loads(text)) == d
 

@@ -15,6 +15,9 @@ import sys
 from . import serialize, svg
 from .complexes import independent_complex
 from .filtrations import (
+    ExtendedPair,
+    _edge_collapse,
+    _negated_completion,
     extended_pair,
     filter_clique,
     filter_enclaveless,
@@ -117,11 +120,15 @@ def cmd_persist(args) -> int:
         _check_extended(args.construction)
         if args.format != "json":
             raise UsageError("extended output carries PBN grids and is JSON only")
-        # One extra dimension in the complexes keeps every emitted degree exact.
-        pair = extended_pair(g, args.max_dim + 1)
-        ext = ExtendedPersistence(pair, args.max_dim)
+        # One extra dimension in the complexes keeps every emitted degree exact. The
+        # descending side is built from the edge-collapsed negated completion: its
+        # diagrams are those of the full capped simplex, which `build` writes.
+        cap = args.max_dim + 1
+        ascending = filter_clique(g, cap)
+        descending = filter_clique(_edge_collapse(_negated_completion(g)), cap)
+        ext = ExtendedPersistence(ExtendedPair(ascending, descending), args.max_dim)
         # Edges are in (cap >= 1): the descending finite values are these weights, negated.
-        coords = sample_coordinates(pair.ascending.critical_values())
+        coords = sample_coordinates(ascending.critical_values())
         doc = {
             "ascending": [serialize.diagram_to_doc(d) for d in ext.ascending],
             "descending": [serialize.diagram_to_doc(d) for d in ext.descending],

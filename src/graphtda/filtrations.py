@@ -14,8 +14,11 @@ Sentinels order totally: -inf < every finite value < +inf.
 from __future__ import annotations
 
 import math
+from bisect import insort
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import groupby
+from operator import itemgetter
 from types import MappingProxyType
 from typing import Mapping
 
@@ -23,6 +26,7 @@ from .complexes import (
     Family,
     Simplex,
     SimplicialComplex,
+    _bits,
     _clique_family,
     _enclaveless_family,
     _neighborhood_family,
@@ -167,6 +171,13 @@ class ExtendedPair:
     descending: FilteredComplex
 
 
+def _negated_completion(g: WeightedGraph) -> WeightedGraph:
+    """The completion of g under negated weights: edges of g weigh the negation
+    of their weight, non-edges the -inf sentinel."""
+    gbar = extend_weights(g)
+    return WeightedGraph(gbar.vertices, gbar.edges, {e: -w for e, w in gbar.weight.items()})
+
+
 def extended_pair(g: WeightedGraph, max_dim: int | None = None) -> ExtendedPair:
     """Build the two filtrations backing the extended persistence functions.
 
@@ -175,10 +186,64 @@ def extended_pair(g: WeightedGraph, max_dim: int | None = None) -> ExtendedPair:
     and are present from the start of the pass.
     """
     _require_weighted(g, "extended_pair")
-    ascending = filter_clique(g, max_dim)
-    gbar = extend_weights(g)
-    negated = WeightedGraph(
-        gbar.vertices, gbar.edges, {e: -w for e, w in gbar.weight.items()}
-    )
-    descending = filter_clique(negated, max_dim)
-    return ExtendedPair(ascending, descending)
+    return ExtendedPair(filter_clique(g, max_dim), filter_clique(_negated_completion(g), max_dim))
+
+
+def _edge_collapse(g: WeightedGraph) -> WeightedGraph:
+    """A graph on some of g's edges whose clique filtration has the diagrams
+    of g's, once zero-persistence pairs are dropped.
+
+    The filtered edge collapse of Boissonnat and Pritam ("Edge collapse and
+    persistence of flag complexes", SoCG 2020), run backward as by Glisse and
+    Pritam ("Swap, shift and trim to edge collapse a filtration", SoCG 2022).
+    The edges in (weight, label) order each have a slot, their position. They
+    are taken from the last to the first. While edge uv at slot i is taken,
+    the graph at slot s >= i holds the edges at slots up to i and the kept
+    later edges at slots up to s. There uv is dominated when some vertex w
+    other than u and v has N[u] & N[v] inside N[w] (closed neighbourhoods):
+    the clique complex then collapses onto the one without uv. Only a new
+    neighbour of u or v can end that, so uv is tested at slot i and then at
+    the slots of the kept edges at u or v, ascending. It is kept at the first
+    slot where it is not dominated, with that slot's weight, and dropped if it
+    is dominated at each. Edges only move later, and the first edge at a
+    vertex is never dominated, so H0 and the vertex values stay as they were.
+
+    The weights are kept up to ==, but a moved edge can take a zero of the
+    other sign, so a graph whose weights hold both 0.0 and -0.0 is returned
+    unchanged.
+    """
+    _require_weighted(g, "_edge_collapse")
+    if len({math.copysign(1.0, w) for w in g.weight.values() if w == 0}) == 2:
+        return g
+    index = {v: i for i, v in enumerate(g.vertices)}
+    order = sorted(g.weight.items(), key=lambda item: (item[1], item[0]))
+    ends = [(index[u], index[v]) for (u, v), _ in order]
+    base = [1 << i for i in range(len(index))]  # closed neighbourhoods over the untaken edges
+    for a, b in ends:
+        base[a] |= 1 << b
+        base[b] |= 1 << a
+    kept: list[tuple[int, int, int]] = []  # (slot, a, b), ascending
+    for i in range(len(ends) - 1, -1, -1):
+        a, b = ends[i]
+        ab = 1 << a | 1 << b
+        nbhd = base[:]  # the graph at slot i
+        base[a] ^= 1 << b
+        base[b] ^= 1 << a
+        at, later = i, groupby(kept, key=itemgetter(0))
+        while any(nbhd[a] & nbhd[b] & ~nbhd[w] == 0 for w in _bits(nbhd[a] & nbhd[b] & ~ab)):
+            # Dominated: move on to the next slot at which a or b gains a neighbour.
+            for at, edges in later:
+                touched = False
+                for _, x, y in edges:
+                    nbhd[x] |= 1 << y
+                    nbhd[y] |= 1 << x
+                    touched |= (1 << x | 1 << y) & ab != 0
+                if touched:
+                    break
+            else:
+                break  # dominated at every slot: dropped
+        else:
+            insort(kept, (at, a, b))
+    labels = g.vertices
+    weights = {(labels[a], labels[b]): order[slot][1] for slot, a, b in kept}
+    return WeightedGraph(labels, weights.keys(), weights)

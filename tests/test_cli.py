@@ -173,6 +173,31 @@ class TestPersist:
             for j, v in enumerate(coords):
                 assert grid["values"][i][j] == ext.pbn(0, u, v)
 
+    def test_extended_signed_zeros_are_not_collapsed(self, graph_file, capsys):
+        # Collapsed, the descending death -0.0 of this graph would print as 0.0.
+        text = "a c 0\na e -0\nb c 0\nd e 0\n"
+        code, out, _ = run(["persist", graph_file("z.txt", text), "--extended", "--max-dim", "1"], capsys)
+        assert code == 0
+        from graphtda import extended_pair, parse_graph
+        from graphtda.cli import sample_coordinates
+        from graphtda.filtrations import _edge_collapse, _negated_completion
+        from graphtda.persistence import ExtendedPersistence
+
+        g = parse_graph(text)
+        pair = extended_pair(g, 2)
+        ext = ExtendedPersistence(pair, 1)
+        coords = sample_coordinates(pair.ascending.critical_values())
+        want = {
+            "ascending": [serialize.diagram_to_doc(d) for d in ext.ascending],
+            "descending": [serialize.diagram_to_doc(d) for d in ext.descending],
+            "grids": [
+                {"dimension": r, "coordinates": coords, "values": ext.grid(r, coords)} for r in (0, 1)
+            ],
+        }
+        assert out == serialize.dumps(want) and '"death": -0.0' in out
+        for h in (g, _negated_completion(g)):
+            assert repr(sorted(_edge_collapse(h).weight.items())) == repr(sorted(h.weight.items()))
+
     @pytest.mark.parametrize(
         "text",
         ["a\nb\n", "a b 1.7e308\nb c 1.75e308\n", "a b -1.7e308\nb c -1.75e308\n", "a b 1e300\n"],

@@ -20,10 +20,12 @@ from graphtda import (
     filter_neighborhood,
     neighborhood_complex,
     parse_graph,
+    reduce,
     threshold_subgraph,
 )
-from graphtda.filtrations import _filtered
-from oracles import SmallestTOracle
+from graphtda.filtrations import _edge_collapse, _filtered, _negated_completion
+from graphtda.persistence import PersistenceDiagram
+from oracles import SmallestTOracle, oracle_diagrams
 from randutil import (
     random_complex,
     random_filtration_values,
@@ -168,6 +170,64 @@ class TestExtendedPair:
         g = random_weighted_graph(random.Random(3), min_n=4, max_n=6)
         pair = extended_pair(g)
         assert pair.ascending.complex.simplices <= pair.descending.complex.simplices
+
+
+def collapse_graphs(rng: random.Random, count: int) -> list[WeightedGraph]:
+    """Graphs on 1 to 9 vertices: edgeless, complete, with isolated vertices,
+    and with weights from a pool of ties, one of +-inf and +-1e300, or uniform."""
+    pools = ([0.0, 1.0, 2.0], [-INF, -1e300, -1.0, 0.0, 1.0, 1e300, INF], None)
+    out = [WeightedGraph(["a", "b", "c"]), parse_graph("a b 1\nb c 1\nz\n")]
+    for i in range(count):
+        vs = [f"v{j}" for j in range(rng.randint(1, 9))]
+        density = 1.0 if i % 4 == 0 else rng.random()
+        pool = pools[i % 3]
+        ws = {
+            e: rng.choice(pool) if pool else round(rng.uniform(0.0, 10.0), 2)
+            for e in combinations(vs, 2)
+            if rng.random() < density
+        }
+        out.append(WeightedGraph(vs, ws.keys(), ws))
+    return out
+
+
+def check_collapse(h: WeightedGraph) -> WeightedGraph:
+    """The collapse of h only drops edges and moves them to later values of h,
+    and keeps the diagrams of every degree below each cap from 1 to 4; on up
+    to 7 vertices the referee reduces the collapsed complex too."""
+    c = _edge_collapse(h)
+    assert c.vertices == h.vertices and c.edges <= h.edges
+    assert all(c.weight[e] >= h.weight[e] for e in c.edges)
+    assert set(c.weight.values()) <= set(h.weight.values())
+    for cap in range(1, 5):
+        want = reduce(filter_clique(h, cap), cap - 1)
+        fc = filter_clique(c, cap)
+        assert repr(reduce(fc, cap - 1)) == repr(want), (cap, sorted(h.weight.items()))
+        if len(h.vertices) <= 7:
+            oracle = oracle_diagrams(dict(fc.value), cap - 1)
+            assert [PersistenceDiagram(r, p, e) for r, (p, e) in enumerate(oracle)] == want
+    return c
+
+
+class TestEdgeCollapse:
+    def test_keeps_diagrams_of_both_sides(self):
+        moved = dropped = 0
+        for g in collapse_graphs(random.Random(19), 300):
+            for h in (g, _negated_completion(g)):
+                c = check_collapse(h)
+                moved += sum(c.weight[e] > h.weight[e] for e in c.edges)
+                dropped += len(h.edges) - len(c.edges)
+        assert moved and dropped  # both ways of delaying an edge are refereed
+
+    @given(graphs(weighted=True))
+    @settings(max_examples=60, deadline=None)
+    def test_keeps_diagrams_property(self, g):
+        check_collapse(g)
+        check_collapse(_negated_completion(g))
+
+    def test_shrinks_a_dominated_edge(self):
+        # In the triangle abc with ab last, c dominates ab: ab is dropped.
+        c = _edge_collapse(parse_graph("a c 1\nb c 2\na b 3\n"))
+        assert c.weight == {("a", "c"): 1.0, ("b", "c"): 2.0}
 
 
 class TestFilteredComplexType:

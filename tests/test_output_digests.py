@@ -30,6 +30,17 @@ GRAPHS = {
     "extended": (15, 50, 14),
 }
 
+# More extended inputs, given as text: edgeless, complete with tied weights,
+# and one whose weights hold both signed zeros.
+EXTENDED_TEXTS = {
+    "edgeless": "".join(f"v{i}\n" for i in range(6)),
+    "complete": "".join(
+        f"{a} {b} {random.Random(f'complete:{a}{b}').randrange(12) / 4}\n"
+        for a, b in combinations([f"v{i}" for i in range(7)], 2)
+    ),
+    "signed-zero": "a c 0\na e -0\nb c 0\nd e 0\n",
+}
+
 DIGESTS = {
     ("clique", 0): "351326ae5fb9bd50e1ce6657d65ee7e0063f33c06c64c76793a028b31c57186a",
     ("clique", 1): "39ca1145a80199667e9afb373f770cfa51a74ac48e979426d12074558aabe584",
@@ -60,11 +71,14 @@ def gnm_text(n: int, m: int, seed: int) -> str:
 
 def persist_digest(tmp_path, kind: str, max_dim: int, command: str = "persist", *flags: str) -> str:
     """Digest of `graphtda COMMAND` on the graph of kind; the independent-set
-    construction, which only `build` runs, reads the neighborhood graph."""
+    construction, which only `build` runs, reads the neighborhood graph, and
+    the kinds of EXTENDED_TEXTS run with --extended."""
     graph = tmp_path / f"{kind}.txt"
-    graph.write_text(gnm_text(*GRAPHS.get(kind, GRAPHS["neighborhood"])), encoding="utf-8")
+    text = EXTENDED_TEXTS.get(kind) or gnm_text(*GRAPHS.get(kind, GRAPHS["neighborhood"]))
+    graph.write_text(text, encoding="utf-8")
     out = tmp_path / f"{command}-{kind}-{max_dim}.out"
-    construction = ["--extended"] if kind == "extended" else ["--construction", kind]
+    extended = kind == "extended" or kind in EXTENDED_TEXTS
+    construction = ["--extended"] if extended else ["--construction", kind]
     argv = [command, str(graph), *construction, "--max-dim", str(max_dim), *flags, "--output", str(out)]
     assert main(argv) == 0
     return hashlib.sha256(out.read_bytes()).hexdigest()
@@ -73,6 +87,27 @@ def persist_digest(tmp_path, kind: str, max_dim: int, command: str = "persist", 
 @pytest.mark.parametrize("kind, max_dim", sorted(DIGESTS))
 def test_persist_output_digest(tmp_path, kind, max_dim):
     assert persist_digest(tmp_path, kind, max_dim) == DIGESTS[kind, max_dim]
+
+
+EXTENDED_DIGESTS = {
+    ("edgeless", 0): "468d9bd0cc9bb90c629eb62cf2f6882bd907fcd1d96ec320bb0d36ea220d04f0",
+    ("edgeless", 1): "261662789c1605e84fa800c162dd677db6c23e5df0bd02d20b5e56ed900f07b0",
+    ("edgeless", 2): "f97a4da0de36bd4e140d1006a89d7e2b1a85716dfe98248386643a0fd2b00a6f",
+    ("edgeless", 3): "d3686078900c9d6b9a2e35d721c095ea9ba935b099b180ffcf7e0cf4d17940cb",
+    ("complete", 0): "0f8026285be4a137d26bb109ce2af286b9408f5c223c15734e2e6771858142d3",
+    ("complete", 1): "13b25e2c93edf0a90a5101f811102a7c9b88a28d0ae933269c4d01d568a463f6",
+    ("complete", 2): "4558e2a9967f0a1b292a66e83c67d902b1e41e932a575ab7420c694ffb7d6d67",
+    ("complete", 3): "bba6676450166a517285c8c0f1eb7676211433c8fb32865eed1928c516baeda8",
+    ("signed-zero", 0): "ecf0b8e7e238b92b4c0341f96ed5a4c1a52c671c49de5f571a2363139c2537c8",
+    ("signed-zero", 1): "564c4418aa13bd1c48e8a55dbf78a5e76861600a6f4acca770ba8355b7e69701",
+    ("signed-zero", 2): "c57299e5933e6c30fd23a5f14052c8190721a7d8656ca392f1eeb55c9d8a8f25",
+    ("signed-zero", 3): "c8c5bb15ed2fdce65327a03e08c55595ccaa8f370312118f603d5a07807d4a8a",
+}
+
+
+@pytest.mark.parametrize("kind, max_dim", sorted(EXTENDED_DIGESTS))
+def test_persist_extended_output_digest(tmp_path, kind, max_dim):
+    assert persist_digest(tmp_path, kind, max_dim) == EXTENDED_DIGESTS[kind, max_dim]
 
 
 BUILD_KINDS = ("clique", "neighborhood", "enclaveless", "independent", "extended")
@@ -208,6 +243,7 @@ if __name__ == "__main__":
 
     with tempfile.TemporaryDirectory() as tmp:
         table("DIGESTS", GRAPHS)
+        table("EXTENDED_DIGESTS", EXTENDED_TEXTS)
         table("BUILD_DIGESTS", BUILD_KINDS, "build")
         table("CSV_DIGESTS", CSV_KINDS, "persist", "--format", "csv")
         print("DISTANCE_DIGESTS = {")

@@ -129,19 +129,7 @@ def cmd_persist(args) -> int:
         ext = ExtendedPersistence(ExtendedPair(ascending, descending), args.max_dim)
         # Edges are in (cap >= 1): the descending finite values are these weights, negated.
         coords = sample_coordinates(ascending.critical_values())
-        doc = {
-            "ascending": [serialize.diagram_to_doc(d) for d in ext.ascending],
-            "descending": [serialize.diagram_to_doc(d) for d in ext.descending],
-            "grids": [
-                {
-                    "dimension": r,
-                    "coordinates": coords,
-                    "values": ext.grid(r, coords),
-                }
-                for r in range(args.max_dim + 1)
-            ],
-        }
-        _write_output(serialize.dumps(doc), args.output)
+        _write_output(serialize.dumps(serialize.extended_to_doc(ext, coords)), args.output)
         return 0
     if args.construction == "independent":
         raise UsageError(
@@ -162,15 +150,14 @@ def cmd_persist(args) -> int:
 
 def _load_document(path: str) -> dict | list[PersistenceDiagram]:
     """The checked diagrams in path, one per degree in ascending order, read from JSON
-    or CSV by one rule (serialize), or an extended document whose grids are checked."""
+    or CSV by one rule (serialize), or the checked grids of an extended document."""
     text = _read_text(path)
     try:
         if not text.lstrip().startswith(("{", "[")):
             return serialize.diagrams_from_csv(text)
         doc = json.loads(text)
         if isinstance(doc, dict) and "grids" in doc:
-            serialize.check_grids(doc["grids"])
-            return doc
+            return serialize.grids_from_json(doc["grids"])
         return serialize.diagrams_from_json(doc)
     except (ValueError, RecursionError) as exc:
         # json.loads raises ValueError beyond its digit limit, and recurses once
@@ -201,10 +188,10 @@ def cmd_distance(args) -> int:
 def cmd_plot(args) -> int:
     doc = _load_document(args.input)
     if isinstance(doc, dict):
-        grids = [g for g in doc["grids"] if g["dimension"] == (args.dimension or 0)]
-        if not grids:
-            raise UsageError(f"no grid of degree {args.dimension or 0} in {args.input}")
-        rendered = svg.render_extended_grid(grids[0])
+        r = args.dimension or 0
+        if r not in doc:
+            raise UsageError(f"no grid of degree {r} in {args.input}")
+        rendered = svg.render_extended_grid(*doc[r])
     else:
         if args.dimension is not None:
             doc = [d for d in doc if d.dimension == args.dimension]

@@ -1,4 +1,5 @@
-"""External document formats: complex JSON, filtered-complex JSON, diagram JSON/CSV.
+"""External document formats: complex JSON, filtered-complex JSON, diagram JSON/CSV, and
+the extended document of `persist --extended` (both sides' diagrams and the PBN grids).
 
 All emitters are deterministic (fixed key order, sorted content), so repeated
 runs on the same input are byte-identical. The infinity sentinels travel as
@@ -14,7 +15,7 @@ from typing import Iterable
 from .complexes import SimplicialComplex, simplex
 from .filtrations import FilteredComplex
 from .graphs import _real
-from .persistence import DiagramPoint, EssentialPoint, PersistenceDiagram, _count, _proper
+from .persistence import DiagramPoint, EssentialPoint, ExtendedPersistence, PersistenceDiagram, _count, _proper
 
 
 class DocumentError(ValueError):
@@ -177,18 +178,30 @@ def step_past(x: float, direction: float) -> float:
     return y if math.isfinite(y) else x
 
 
-def check_grids(grids) -> None:
-    """Raise ValueError unless grids lists extended-PBN grids as `persist --extended` emits
-    them: one grid per degree, n >= 2 finite nondecreasing coordinates, the first below
-    the last (a midpoint may equal an end), n rows of n counts."""
-    degrees = set()
+def extended_to_doc(ext: ExtendedPersistence, coords: list[float]) -> dict:
+    """The document `persist --extended` writes: the diagrams of both sides and, for each
+    degree up to ext.max_dim, the extended-PBN grid sampled at coords."""
+    return {
+        "ascending": [diagram_to_doc(d) for d in ext.ascending],
+        "descending": [diagram_to_doc(d) for d in ext.descending],
+        "grids": [
+            {"dimension": r, "coordinates": coords, "values": ext.grid(r, coords)}
+            for r in range(ext.max_dim + 1)
+        ],
+    }
+
+
+def grids_from_json(grids) -> dict[int, tuple[list[float], list[list[int]]]]:
+    """{degree: (coordinates, rows)} of the grids of an extended document, checked as
+    `persist --extended` writes them: one grid per degree, n >= 2 finite nondecreasing
+    coordinates, the first below the last (a midpoint may equal an end), n rows of n counts."""
+    checked = {}
     for doc in _list(grids, "'grids'"):
         if not isinstance(doc, dict) or not {"dimension", "coordinates", "values"} <= doc.keys():
             raise DocumentError("each grid needs 'dimension', 'coordinates' and 'values'")
         r = _count(doc["dimension"], "grid dimension", 0)
-        if r in degrees:
+        if r in checked:
             raise DocumentError(f"grid degree {r} is listed twice; a document holds one grid per degree")
-        degrees.add(r)
         coords = [decode_value(c) for c in _list(doc["coordinates"], "grid coordinates")]
         n = len(coords)
         rows = _list(doc["values"], "grid values")
@@ -200,8 +213,8 @@ def check_grids(grids) -> None:
             raise DocumentError("grid coordinates are out of order; they must be nondecreasing")
         if coords[0] == coords[-1]:
             raise DocumentError("grid coordinates span no interval; the first must be below the last")
-        for v in (v for row in rows for v in row):
-            _count(v, "grid value", 0)
+        checked[r] = (coords, [[_count(v, "grid value", 0) for v in row] for row in rows])
+    return checked
 
 
 def diagrams_to_csv(diagrams: Iterable[PersistenceDiagram]) -> str:

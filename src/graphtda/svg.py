@@ -4,8 +4,8 @@ No plotting dependency: a fixed 600x600 viewport, linear scales with 5%
 margins, and rounded coordinates keep the output byte-stable across runs.
 Diagrams are drawn from checked PersistenceDiagrams, whose coincident points
 are already merged, so a diagram plots alike from JSON and CSV. A grid's
-coordinates must span a finite interval, as check_grids requires; a scale over
-any other interval raises ValueError.
+coordinates must span a finite interval, as serialize.grids_from_json requires; a
+scale over any other interval raises ValueError.
 """
 
 from __future__ import annotations
@@ -115,14 +115,13 @@ def render_diagrams(diagrams: list[PersistenceDiagram]) -> str:
     return _document(body)
 
 
-def render_extended_grid(grid_doc: dict) -> str:
-    """Heatmap of an extended-PBN sample grid over both half-planes.
+def render_extended_grid(coords: list[float], values: list[list[int]]) -> str:
+    """Heatmap of an extended-PBN sample grid over both half-planes: values[i][j]
+    at (coords[i], coords[j]), as serialize.grids_from_json returns a grid.
 
     Cell shade scales linearly from white (0) to a dark blue at the grid
     maximum; the diagonal is drawn on top.
     """
-    coords = [float(c) for c in grid_doc["coordinates"]]
-    values = grid_doc["values"]
     if len(coords) < 2:
         raise ValueError("extended grid needs at least two sample coordinates")
     scale = _Scale(coords[0], coords[-1])

@@ -187,13 +187,7 @@ class TestPersist:
         pair = extended_pair(g, 2)
         ext = ExtendedPersistence(pair, 1)
         coords = sample_coordinates(pair.ascending.critical_values())
-        want = {
-            "ascending": [serialize.diagram_to_doc(d) for d in ext.ascending],
-            "descending": [serialize.diagram_to_doc(d) for d in ext.descending],
-            "grids": [
-                {"dimension": r, "coordinates": coords, "values": ext.grid(r, coords)} for r in (0, 1)
-            ],
-        }
+        want = serialize.extended_to_doc(ext, coords)
         assert out == serialize.dumps(want) and '"death": -0.0' in out
         for h in (g, _negated_completion(g)):
             assert repr(sorted(_edge_collapse(h).weight.items())) == repr(sorted(h.weight.items()))
@@ -441,15 +435,15 @@ class TestPlot:
         assert code == 0
         text = out_path.read_text()
         assert text.count("<rect") > 9
-        # persist writes no such grid, and check_grids refuses one on load.
+        # persist writes no such grid, and grids_from_json refuses one on load.
         for coords, message in (
             ([0.0], "at least two sample coordinates"),
-            ([5, 5], re.escape("[5.0, 5.0]")),
+            ([5.0, 5.0], re.escape("[5.0, 5.0]")),
             ([-math.inf, 1.0], re.escape("[-inf, 1.0]")),
         ):
             values = [[1] * len(coords)] * len(coords)
             with pytest.raises(ValueError, match=message):
-                svg.render_extended_grid({"dimension": 0, "coordinates": coords, "values": values})
+                svg.render_extended_grid(coords, values)
 
     def test_extended_missing_degree(self, graph_file, tmp_path, capsys):
         ext_json = tmp_path / "ext.json"

@@ -1,6 +1,6 @@
-"""SHA-256 digests of `graphtda build`, `persist` and `distance` output on seeded inputs.
+"""SHA-256 digests of `graphtda build`, `persist`, `plot` and `distance` output on seeded inputs.
 
-Any change to the bytes of a complex, a diagram, a grid, a distance or their
+Any change to the bytes of a complex, a diagram, a grid, a plot, a distance or their
 serialization, in JSON or CSV, fails here, so a change meant to keep the output identical
 can be checked by the ordinary test run. The digests were taken from a known-good build. Refresh
 them only for a deliberate change of output, by running this file:
@@ -69,19 +69,31 @@ def gnm_text(n: int, m: int, seed: int) -> str:
     return "".join(f"{a} {b} {rng.randrange(40) / 4}\n" for a, b in edges) + "z\n"
 
 
-def persist_digest(tmp_path, kind: str, max_dim: int, command: str = "persist", *flags: str) -> str:
-    """Digest of `graphtda COMMAND` on the graph of kind; the independent-set
+def is_extended(kind: str) -> bool:
+    return kind == "extended" or kind in EXTENDED_TEXTS
+
+
+def sha256(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def persist_output(tmp_path, kind: str, max_dim: int, command: str = "persist", *flags: str):
+    """The file `graphtda COMMAND` writes on the graph of kind; the independent-set
     construction, which only `build` runs, reads the neighborhood graph, and
-    the kinds of EXTENDED_TEXTS run with --extended."""
+    the extended kinds run with --extended."""
     graph = tmp_path / f"{kind}.txt"
     text = EXTENDED_TEXTS.get(kind) or gnm_text(*GRAPHS.get(kind, GRAPHS["neighborhood"]))
     graph.write_text(text, encoding="utf-8")
     out = tmp_path / f"{command}-{kind}-{max_dim}.out"
-    extended = kind == "extended" or kind in EXTENDED_TEXTS
-    construction = ["--extended"] if extended else ["--construction", kind]
+    construction = ["--extended"] if is_extended(kind) else ["--construction", kind]
     argv = [command, str(graph), *construction, "--max-dim", str(max_dim), *flags, "--output", str(out)]
     assert main(argv) == 0
-    return hashlib.sha256(out.read_bytes()).hexdigest()
+    return out
+
+
+def persist_digest(tmp_path, kind: str, max_dim: int, command: str = "persist", *flags: str) -> str:
+    """Digest of `graphtda COMMAND` on the graph of kind, as persist_output runs it."""
+    return sha256(persist_output(tmp_path, kind, max_dim, command, *flags))
 
 
 @pytest.mark.parametrize("kind, max_dim", sorted(DIGESTS))
@@ -165,6 +177,49 @@ def test_persist_csv_output_digest(tmp_path, kind, max_dim):
     assert persist_digest(tmp_path, kind, max_dim, "persist", "--format", "csv") == CSV_DIGESTS[kind, max_dim]
 
 
+# `plot` of a persist document: the --max-dim 3 document of an extended kind at
+# --dimension 0 to 3, and the --max-dim 2 JSON and CSV documents of the other kinds
+# of GRAPHS with every degree overlaid (dimension None).
+PLOT_EXTENDED_KINDS = ("extended", *EXTENDED_TEXTS)
+PLOT_DIGESTS = {
+    ("extended", "json", 0): "f07a9dc7fc74674ad7f987e0080cfb0942557de077dd21cf732be809e57c8969",
+    ("extended", "json", 1): "8b168f854352a58f9984d10c31cc94a37ec974f9f816539c97edef5ef22db84b",
+    ("extended", "json", 2): "80a618a6e16a1a2525ce0505d9bafd945cecdb4131752acf0eb9857793b00576",
+    ("extended", "json", 3): "80a618a6e16a1a2525ce0505d9bafd945cecdb4131752acf0eb9857793b00576",
+    ("edgeless", "json", 0): "a2523e029b2041b413838db8c977e8eeb98f6ab02d7b926b530fde5653496f59",
+    ("edgeless", "json", 1): "bc18f4969b38eb2ff515341a1f6416ec7234e3d9561c9ee3815ca3ffcf5bcdec",
+    ("edgeless", "json", 2): "bc18f4969b38eb2ff515341a1f6416ec7234e3d9561c9ee3815ca3ffcf5bcdec",
+    ("edgeless", "json", 3): "bc18f4969b38eb2ff515341a1f6416ec7234e3d9561c9ee3815ca3ffcf5bcdec",
+    ("complete", "json", 0): "332173c25cf55f9d1bc3e6509d92e893da665667f7ce850cc423f96ed80765f9",
+    ("complete", "json", 1): "61a0e7f9bb4b69350628278430e866e0c5083c3ad3df49406c468401f98e3493",
+    ("complete", "json", 2): "61a0e7f9bb4b69350628278430e866e0c5083c3ad3df49406c468401f98e3493",
+    ("complete", "json", 3): "61a0e7f9bb4b69350628278430e866e0c5083c3ad3df49406c468401f98e3493",
+    ("signed-zero", "json", 0): "5de0e1552ca3d0b78a4ad105268cc8caeacf59bcc9d5e9cbabd57bae333b550f",
+    ("signed-zero", "json", 1): "8714b3cb78a6ee83e7a7ed0441b68a76ada78bc64b955fb59a8806db6ea526d9",
+    ("signed-zero", "json", 2): "8714b3cb78a6ee83e7a7ed0441b68a76ada78bc64b955fb59a8806db6ea526d9",
+    ("signed-zero", "json", 3): "8714b3cb78a6ee83e7a7ed0441b68a76ada78bc64b955fb59a8806db6ea526d9",
+    ("clique", "json", None): "db19500dd66641c021c345aed0b49c3a4ca31acd7c7d41aa3216f780e8cb123e",
+    ("clique", "csv", None): "db19500dd66641c021c345aed0b49c3a4ca31acd7c7d41aa3216f780e8cb123e",
+    ("neighborhood", "json", None): "cfb216d24e003e402f9cfaae06ec67388f484d68ac41939319ffe1b247a1f146",
+    ("neighborhood", "csv", None): "cfb216d24e003e402f9cfaae06ec67388f484d68ac41939319ffe1b247a1f146",
+    ("enclaveless", "json", None): "0e6ae210fc718cc133e3b4129ceab94c616d5e452f005e85440641d309e32ef8",
+    ("enclaveless", "csv", None): "0e6ae210fc718cc133e3b4129ceab94c616d5e452f005e85440641d309e32ef8",
+}
+
+
+def plot_digest(tmp_path, kind: str, fmt: str, dimension: int | None) -> str:
+    document = persist_output(tmp_path, kind, 3 if is_extended(kind) else 2, "persist", "--format", fmt)
+    out = tmp_path / f"plot-{kind}-{fmt}-{dimension}.svg"
+    flags = [] if dimension is None else ["--dimension", str(dimension)]
+    assert main(["plot", str(document), *flags, "--output", str(out)]) == 0
+    return sha256(out)
+
+
+@pytest.mark.parametrize("kind, fmt, dimension", sorted(PLOT_DIGESTS, key=str))
+def test_plot_output_digest(tmp_path, kind, fmt, dimension):
+    assert plot_digest(tmp_path, kind, fmt, dimension) == PLOT_DIGESTS[kind, fmt, dimension]
+
+
 # Diagram pairs for `distance`: a kind and an index i, drawn from
 # random.Random(f"distance:{kind}:{i}") with 40 + 20 i points per side. A
 # shifted lattice pair moves each point by 0.25, 0.5 (a tie with the unit
@@ -246,6 +301,12 @@ if __name__ == "__main__":
         table("EXTENDED_DIGESTS", EXTENDED_TEXTS)
         table("BUILD_DIGESTS", BUILD_KINDS, "build")
         table("CSV_DIGESTS", CSV_KINDS, "persist", "--format", "csv")
+        print("PLOT_DIGESTS = {")
+        plots = [(kind, "json", r) for kind in PLOT_EXTENDED_KINDS for r in range(4)]
+        plots += [(kind, fmt, None) for kind in CSV_KINDS for fmt in ("json", "csv")]
+        for kind, fmt, r in plots:
+            print(f'    ("{kind}", "{fmt}", {r}): "{plot_digest(Path(tmp), kind, fmt, r)}",')
+        print("}")
         print("DISTANCE_DIGESTS = {")
         for kind in PAIR_KINDS:
             for i in range(3):

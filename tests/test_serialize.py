@@ -1,14 +1,17 @@
 import json
+import random
 import sys
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphtda import parse_graph, serialize
+from graphtda.cli import sample_coordinates
 from graphtda.complexes import SimplicialComplex
 from graphtda.filtrations import extended_pair, filter_clique
-from graphtda.persistence import DiagramPoint, EssentialPoint, PersistenceDiagram, reduce
+from graphtda.persistence import DiagramPoint, EssentialPoint, ExtendedPersistence, PersistenceDiagram, reduce
 
 INF = float("inf")
 # Arguments of PersistenceDiagram, valid or near the edges of what it holds:
@@ -181,10 +184,32 @@ class TestDiagramDocs:
                 serialize.diagram_from_doc(bad)
 
     def test_grid_degree_listed_twice_refused(self):
-        grid = {"dimension": 1, "coordinates": [0, 1], "values": [[0, 0], [0, 0]]}
-        serialize.check_grids([grid, {**grid, "dimension": 0}])
+        grid = {"dimension": 1, "coordinates": [0, 1], "values": [[0, 0], [0, 2]]}
+        grids = serialize.grids_from_json([grid, {**grid, "dimension": 0}])
+        assert grids == {1: ([0.0, 1.0], [[0, 0], [0, 2]]), 0: ([0.0, 1.0], [[0, 0], [0, 2]])}
+        assert all(type(c) is float for coords, _ in grids.values() for c in coords)
         with pytest.raises(serialize.DocumentError, match="grid degree 1 is listed twice"):
-            serialize.check_grids([grid, {**grid, "dimension": 0}, grid])
+            serialize.grids_from_json([grid, {**grid, "dimension": 0}, grid])
+
+    @pytest.mark.parametrize("max_dim", range(4))
+    def test_extended_grids_round_trip(self, max_dim):
+        # Weights hold both signed zeros and values near the float range, so the
+        # coordinates must come back repr for repr, through the JSON text as well.
+        for seed in range(6):
+            rng = random.Random(f"extended-grids:{seed}")
+            labels = [f"v{i}" for i in range(7)]
+            text = "".join(
+                f"{a} {b} {rng.choice(['-0', '0', '1e300', '-1e300', '0.25', '1.5', '-2'])}\n"
+                for a, b in combinations(labels, 2) if rng.random() < 0.5
+            )
+            pair = extended_pair(parse_graph(text + "".join(f"{v}\n" for v in labels)), max_dim + 1)
+            ext = ExtendedPersistence(pair, max_dim)
+            coords = sample_coordinates(pair.ascending.critical_values())
+            doc = serialize.extended_to_doc(ext, coords)
+            want = {r: (coords, ext.grid(r, coords)) for r in range(max_dim + 1)}
+            for grids in (doc["grids"], json.loads(serialize.dumps(doc))["grids"]):
+                got = serialize.grids_from_json(grids)
+                assert got == want and repr(got) == repr(want)
 
     def test_csv_rejects_infinite_proper_death(self):
         d = PersistenceDiagram(0, [(0.0, INF)])

@@ -136,13 +136,11 @@ def _closure(facets: Iterable[Iterable[str]], max_dim: int | None = None) -> set
     return out
 
 
-# Every construction is a family of vertex sets closed under subsets, built
-# together with its filtration values (the rules are stated in filtrations.py).
-# Cliques and enclaveless sets grow level by level in _levelwise; the
-# neighborhood family is the closure of the closed neighborhoods, each subset
-# taking its least value over its witnesses. clique_complex and
-# enclaveless_complex drop the values, reading an edge without a weight as
-# weight 0; neighborhood_complex is from_facets over the closed neighborhoods.
+# Every construction is a family of vertex sets closed under subsets. One
+# level-wise enumerator grows each of them one vertex at a time, together with
+# its filtration values (the rules are stated in filtrations.py). The
+# *_complex builders drop the values, reading an edge without a weight as
+# weight 0.
 
 Family = tuple[list[Simplex], list[float]]  # simplices in canonical order, their values
 
@@ -176,8 +174,9 @@ def _levelwise(g: WeightedGraph, roots, grow, max_dim: int | None) -> Family:
     roots lists (index, value, state) for the admitted vertices. For a simplex
     s with value x, grow(s, x, state) yields (v, value, state) for each vertex
     index v > s[-1] whose addition keeps s in the family. Only the states of
-    the current level are held. Vertex labels are sorted, so index order is
-    label order and every tuple comes out canonical.
+    the current level are held, and the last level keeps none, as nothing
+    grows from it. Vertex labels are sorted, so index order is label order and
+    every tuple comes out canonical.
     """
     labels = g.vertices
     top = len(labels) if max_dim is None else max_dim + 1  # vertices in the largest simplex
@@ -191,7 +190,7 @@ def _levelwise(g: WeightedGraph, roots, grow, max_dim: int | None) -> Family:
         values.extend([x for _, x, _ in level])
         if size < top:
             level = [
-                (s + (v,), y, child)
+                (s + (v,), y, child if size + 1 < top else None)
                 for s, x, state in level
                 for v, y, child in grow(s, x, state)
             ]
@@ -222,26 +221,31 @@ def _clique_family(g: WeightedGraph, max_dim: int | None = None) -> Family:
 def _neighborhood_family(g: WeightedGraph, max_dim: int | None = None) -> Family:
     """Subsets of closed neighborhoods of g, each entering at its earliest witness.
 
-    Each subset s of N[c] with two or more vertices enters through the witness
-    c at the largest weight among the edges from c to the other members of s;
-    the value is the least over its witnesses. Vertices keep the
-    minimum-incident-weight rule. A simplex is visited once per witness.
+    The state maps each witness c, a vertex with s inside N[c], in ascending
+    order, to the largest weight among the edges from c to the other members
+    of s; the value is the least of those, the first on a tie. Vertices keep
+    the minimum-incident-weight rule. near[i] is vertex i's root state and
+    its weight row, with i itself at -inf so that max() passes it over.
     """
-    _, w = _tables(g)
-    top = len(w) if max_dim is None else max_dim + 1  # vertices in the largest simplex
-    value = {(i,): _vertex_value(row) for i, row in enumerate(w) if top > 0}
-    for c, row in enumerate(w):
-        members = sorted([c, *row])
-        for k in range(2, min(top, len(members)) + 1):
-            for s in combinations(members, k):
-                x = max([row[u] for u in s if u != c])
-                old = value.get(s)
-                if old is None or x < old:
-                    value[s] = x
-    order = sorted(value)
-    order.sort(key=len)  # stable: (dimension, label) order, as index order is label order
-    labels = g.vertices
-    return [tuple([labels[i] for i in s]) for s in order], [value[s] for s in order]
+    adj, w = _tables(g)
+    closed = [adj[i] | 1 << i for i in range(len(adj))]
+    near = [{c: w[i].get(c, NEG_INF) for c in _bits(closed[i])} for i in range(len(w))]
+
+    def grow(s, x, witnesses):
+        reach = 0
+        for c in witnesses:
+            reach |= closed[c]
+        for v in _bits(reach & _above(s[-1])):
+            row = near[v]
+            child = {}
+            for c, y in witnesses.items():
+                t = row.get(c)
+                if t is not None:
+                    child[c] = t if t > y else y  # max(y, t): the first on a tie
+            yield v, min(child.values()), child
+
+    roots = [(i, _vertex_value(w[i]), near[i]) for i in range(len(w))]
+    return _levelwise(g, roots, grow, max_dim)
 
 
 _ENCLAVELESS_VERTEX_GUARD = 20
@@ -289,9 +293,10 @@ def neighborhood_complex(g: WeightedGraph, max_dim: int | None = None) -> Simpli
     """Complex of all nonempty subsets of closed neighborhoods of g.
 
     The neighborhood of v contains v itself, so every vertex appears even
-    when isolated. Facets are the inclusion-maximal closed neighborhoods.
+    when isolated. Uncapped, the facets are the inclusion-maximal closed
+    neighborhoods.
     """
-    return SimplicialComplex.from_facets([(v, *g.adjacency(v)) for v in g.vertices], max_dim)
+    return SimplicialComplex._from_ordered(_neighborhood_family(g, max_dim)[0])
 
 
 def enclaveless_complex(g: WeightedGraph, max_dim: int | None = None) -> SimplicialComplex:

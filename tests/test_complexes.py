@@ -351,7 +351,8 @@ class TestConstructionInvariants:
         assert independent_complex(h).simplices <= independent_complex(g).simplices
 
     def test_capped_families_match_bruteforce(self):
-        for g in small_graphs(random.Random(41), 30):
+        weighted = small_graphs(random.Random(41), 30)
+        for g in weighted + [WeightedGraph(g.vertices, g.edges) for g in weighted]:
             vs = g.vertices
             subsets = [frozenset(c) for k in range(1, len(vs) + 1) for c in combinations(vs, k)]
             closed = [g.adjacency(v) | {v} for v in vs]

@@ -105,6 +105,11 @@ class TestFilterNeighborhood:
         assert fc.value[("a",)] == 1
         assert fc.value[("c",)] == 2
 
+    def test_signed_zero_tie_takes_first_witness(self):
+        # witnesses x, y, z of {y, z} give -0.0, 0.0, 0.0; the first in label order wins
+        g = parse_graph("x y -0\nx z -0\ny z 0")
+        assert repr(filter_neighborhood(g).value[("y", "z")]) == "-0.0"
+
 
 class TestFilterEnclaveless:
     def test_path_values(self):

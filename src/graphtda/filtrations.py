@@ -17,7 +17,7 @@ import math
 from bisect import insort
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import groupby
+from itertools import combinations, groupby
 from operator import itemgetter
 from types import MappingProxyType
 from typing import Mapping
@@ -31,7 +31,7 @@ from .complexes import (
     _enclaveless_family,
     _neighborhood_family,
 )
-from .graphs import WeightedGraph, _real, edge
+from .graphs import WeightedGraph, _real
 
 INF = float("inf")
 
@@ -153,13 +153,8 @@ def filter_enclaveless(g: WeightedGraph, max_dim: int | None = None) -> Filtered
 def extend_weights(g: WeightedGraph) -> WeightedGraph:
     """Complete graph on the vertices of g; missing edges weigh +inf."""
     _require_weighted(g, "extend_weights")
-    vs = g.vertices
-    weights: dict[tuple[str, str], float] = {}
-    for i in range(len(vs)):
-        for j in range(i + 1, len(vs)):
-            e = edge(vs[i], vs[j])
-            weights[e] = g.weight.get(e, INF)
-    return WeightedGraph(vs, weights.keys(), weights)
+    weights = {e: g.weight.get(e, INF) for e in combinations(g.vertices, 2)}
+    return WeightedGraph(g.vertices, weights.keys(), weights)
 
 
 @dataclass(frozen=True)

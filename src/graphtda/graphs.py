@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable, Iterator, Mapping
+from itertools import combinations
 
 Edge = tuple[str, str]
 
@@ -17,14 +18,18 @@ class GraphParseError(ValueError):
 
 
 def _real(x, *what) -> float:
-    """x as a float if an int or a float (no bool) in the float range, else ValueError naming what."""
-    if type(x) is float:
+    """x as a float if an int or a float (no bool) in the float range, else ValueError naming
+    what; a NaN is refused as "<what> is NaN"."""
+    if type(x) is float and x == x:
         return x
     if isinstance(x, (int, float)) and not isinstance(x, bool):
         try:
-            return float(x)
+            x = float(x)
         except OverflowError:
             raise ValueError(f"{''.join(map(str, what))} is an integer too large for a float") from None
+        if x == x:
+            return x
+        raise ValueError(f"{''.join(map(str, what))} is NaN")
     raise ValueError(f"{''.join(map(str, what))} must be an int or a float (not a bool), got {x!r}")
 
 
@@ -39,11 +44,12 @@ class WeightedGraph:
     """Finite simple graph with optional real edge weights.
 
     Vertex identifiers are arbitrary strings, totally ordered lexicographically;
-    every enumeration follows that order so results are deterministic. A weight
-    is an int or a float (no bool, no string) in the float range, not NaN, and
-    is held as a float. Weights may be partial (constructions such as
-    :func:`complement` produce unweighted edges); operations that need weights
-    state so. Instances are immutable after construction.
+    every enumeration follows that order so results are deterministic. `_real`
+    reads each weight: an int or a float (no bool, no string) in the float
+    range, held as a float; NaN is refused as "weight for edge (u, v) is NaN".
+    Weights may be partial (constructions such as :func:`complement` produce
+    unweighted edges); operations that need weights state so. Instances are
+    immutable after construction.
     """
 
     def __init__(
@@ -68,10 +74,7 @@ class WeightedGraph:
                 e = edge(*key)
                 if e not in es:
                     raise ValueError(f"weight given for missing edge {e}")
-                w = _real(w, "weight for edge ", e)
-                if math.isnan(w):
-                    raise ValueError(f"weight for edge {e} is NaN")
-                ws[e] = w
+                ws[e] = _real(w, "weight for edge ", e)
         self.vertices: tuple[str, ...] = tuple(sorted(vs))
         self.edges: frozenset[Edge] = frozenset(es)
         self.weight: dict[Edge, float] = ws
@@ -179,14 +182,7 @@ def format_graph(g: WeightedGraph) -> str:
 
 def complement(g: WeightedGraph) -> WeightedGraph:
     """Complement graph: same vertices, complementary edge set, no weights."""
-    vs = g.vertices
-    es = [
-        (vs[i], vs[j])
-        for i in range(len(vs))
-        for j in range(i + 1, len(vs))
-        if edge(vs[i], vs[j]) not in g.edges
-    ]
-    return WeightedGraph(vs, es)
+    return WeightedGraph(g.vertices, [e for e in combinations(g.vertices, 2) if e not in g.edges])
 
 
 def threshold_subgraph(g: WeightedGraph, t: float) -> WeightedGraph:

@@ -23,7 +23,6 @@ Conventions:
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
@@ -61,7 +60,7 @@ def _count(v, what: str, least: int) -> int:
 
 def _proper(points: Iterable[tuple[float, float]]) -> None:
     """Raise ValueError unless each (birth, death) of a proper point has
-    birth < death, so that neither is NaN."""
+    birth < death. Both are read by `_real` first, which refuses NaN."""
     for b, d in points:
         if not b < d:
             raise ValueError(f"proper point needs birth < death, got ({b}, {d})")
@@ -72,11 +71,11 @@ class PersistenceDiagram:
 
     The dimension is an int >= 0. Proper points satisfy birth < death;
     essential points are the classes that never die (cornerpoints at
-    infinity), born at any value but NaN. Coincident points merge into one
-    entry; each given multiplicity and each total is an int >= 1 that
-    converts to a float. No bool passes for an int. Births and deaths are
-    ints or floats (no bool, no string) in the float range, held as floats,
-    the points sorted.
+    infinity). Coincident points merge into one entry; each given
+    multiplicity and each total is an int >= 1 that converts to a float. No
+    bool passes for an int. `_real` reads births and deaths (ints or floats in
+    the float range, held as floats, the points sorted); NaN is refused as
+    "birth is NaN", "death is NaN" or "essential birth is NaN".
     """
 
     def __init__(
@@ -97,8 +96,6 @@ class PersistenceDiagram:
         for e in essential:
             b, m = (e.birth, _count(e.multiplicity, "multiplicity", 1)) if isinstance(e, EssentialPoint) else (e, 1)
             ess[_real(b, "essential birth")] += m
-        if any(math.isnan(b) for b in ess):
-            raise ValueError("essential point needs a birth, got nan")
         for totals in (pts.values(), ess.values()):
             _count(max(totals, default=1), "multiplicity", 1)  # the others are smaller
         self.dimension = _count(dimension, "dimension", 0)

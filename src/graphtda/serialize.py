@@ -31,6 +31,7 @@ def encode_value(x: float) -> float | str:
 
 
 def decode_value(v) -> float:
+    """A document value: "inf", "-inf" or a number `_real` reads (NaN is "value is NaN")."""
     if isinstance(v, str):
         if v == "inf":
             return math.inf
@@ -38,12 +39,9 @@ def decode_value(v) -> float:
             return -math.inf
         raise DocumentError(f"bad value string {v!r}; only 'inf' and '-inf' are allowed")
     try:
-        x = _real(v, "value")
+        return _real(v, "value")
     except ValueError as exc:
         raise DocumentError(str(exc)) from None
-    if math.isnan(x):
-        raise DocumentError("NaN is not a valid value")
-    return x
 
 
 def _list(v, what: str) -> list:

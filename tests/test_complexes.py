@@ -114,6 +114,12 @@ class TestSimplicialComplex:
         k = SimplicialComplex.from_facets([("b", "a"), ("c",)])
         assert list(k) == [("a",), ("b",), ("c",), ("a", "b")]
 
+    def test_equal_complexes_hash_equal(self):
+        k1 = SimplicialComplex([("a",), ("b",), ("c",), ("a", "b"), ("b", "c")])
+        k2 = SimplicialComplex([("c", "b"), ("b",), ("b", "a"), ("c",), ("a",)])
+        assert k1 == k2 and hash(k1) == hash(k2)
+        assert len({k1, k2, SimplicialComplex.from_facets([("b", "a"), ("c", "b")])}) == 1
+
     def test_contains_normalizes_order(self):
         k = SimplicialComplex.from_facets([("a", "b")])
         assert ("b", "a") in k
@@ -437,6 +443,12 @@ class TestComplexIsomorphic:
         two_edges = SimplicialComplex.from_facets([("a", "b"), ("c", "d")])
         path = SimplicialComplex.from_facets([("a", "b"), ("b", "c"), ("c", "d")])
         assert not complex_isomorphic(two_edges, path)
+        # Equal simplex counts per dimension: only the incidence search tells these apart.
+        star = SimplicialComplex.from_facets([("a", "b"), ("a", "c"), ("a", "d")])
+        assert not complex_isomorphic(path, star)
+        bowtie = SimplicialComplex.from_facets([("a", "b", "c"), ("c", "d", "e")])
+        strip = SimplicialComplex.from_facets([("a", "b", "c"), ("b", "c", "d"), ("d", "e")])
+        assert not complex_isomorphic(bowtie, strip)
 
 
 class TestEnclavelessSphereFamily:

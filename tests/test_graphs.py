@@ -148,13 +148,16 @@ _DEGENERATE = {("point birth", "inf"), ("DiagramPoint birth", "inf"), ("point de
 
 @pytest.mark.parametrize(
     "entry, value",
-    [(e, v) for e in _REAL_ENTRIES for v in [*_REFUSED, *_ACCEPTED] if (e, v) not in _DEGENERATE],
+    [(e, v) for e in _REAL_ENTRIES for v in [*_REFUSED, "nan", *_ACCEPTED] if (e, v) not in _DEGENERATE],
 )
 def test_one_rule_reads_every_real_value(entry, value):
     """Weights, filtration values, births and deaths, and document values read by one rule:
-    an int or a float, not a bool or a string, held as a float."""
+    an int or a float, not a bool or a string, held as a float; NaN is "<field> is NaN"."""
     store, field = _REAL_ENTRIES[entry]
-    if value in _REFUSED:
+    if value == "nan":
+        with pytest.raises(ValueError, match=f"^{re.escape(field)} is NaN$"):
+            store(math.nan)
+    elif value in _REFUSED:
         with pytest.raises(ValueError, match=re.escape(field)):
             store(_REFUSED[value])
     else:
@@ -277,6 +280,13 @@ class TestValidation:
             WeightedGraph(["a", "b"], [("a", "b")], {("a", "b"): float("nan")})
         with pytest.raises(ValueError, match="is an integer too large for a float"):
             WeightedGraph(["a", "b"], [("a", "b")], {("a", "b"): 10**400})
+
+    def test_equal_graphs_hash_equal(self):
+        g1 = WeightedGraph(["a", "b", "c", "d"], [("a", "b"), ("b", "c")], {("a", "b"): 1, ("b", "c"): 2.5})
+        g2 = WeightedGraph(["d", "c", "b", "a"], [("c", "b"), ("b", "a")], {("c", "b"): 2.5, ("b", "a"): 1.0})
+        assert g1 == g2 and hash(g1) == hash(g2)
+        assert len({g1, g2}) == 1
+        assert len({g1, WeightedGraph(g1.vertices, g1.edges, {("a", "b"): 1.0, ("b", "c"): 3.0})}) == 2
 
     def test_endpoints_added(self):
         g = WeightedGraph([], [("a", "b")])

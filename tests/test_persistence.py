@@ -42,11 +42,11 @@ class TestDiagramType:
         with pytest.raises(ValueError, match="birth < death"):
             PersistenceDiagram(0, [(1, 1)])
         nan = float("nan")
-        for points in ([(nan, 1.0)], [(0.0, nan)], [DiagramPoint(nan, INF)]):
-            with pytest.raises(ValueError, match="birth < death"):
+        for points, field in ([(nan, 1.0)], "birth"), ([(0.0, nan)], "death"), ([DiagramPoint(nan, INF)], "birth"):
+            with pytest.raises(ValueError, match=f"^{field} is NaN$"):
                 PersistenceDiagram(0, points)
         for essential in ([nan], [EssentialPoint(nan)], [0.0, EssentialPoint(nan, 2)]):
-            with pytest.raises(ValueError, match="needs a birth"):
+            with pytest.raises(ValueError, match="^essential birth is NaN$"):
                 PersistenceDiagram(0, essential=essential)
         # Each given multiplicity is checked before coincident points merge:
         # -2 and 3 would sum to a valid 1, and True would sum to 1.

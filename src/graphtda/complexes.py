@@ -138,9 +138,9 @@ def _closure(facets: Iterable[Iterable[str]], max_dim: int | None = None) -> set
 
 # Every construction is a family of vertex sets closed under subsets. One
 # level-wise enumerator grows each of them one vertex at a time, together with
-# its filtration values (the rules are stated in filtrations.py). The
-# *_complex builders drop the values, reading an edge without a weight as
-# weight 0.
+# its filtration values (the rules are stated in filtrations.py), and owns the
+# rules they share; each family states only its grow rule. The *_complex
+# builders drop the values, reading an edge without a weight as weight 0.
 
 Family = tuple[list[Simplex], list[float]]  # simplices in canonical order, their values
 
@@ -163,24 +163,22 @@ def _tables(g: WeightedGraph) -> tuple[list[int], list[dict[int, float]]]:
     return [sum(1 << j for j in row) for row in rows], rows
 
 
-def _above(i: int) -> int:
-    """Mask of the vertex indices greater than i."""
-    return -1 << (i + 1)
-
-
-def _levelwise(g: WeightedGraph, roots, grow, max_dim: int | None) -> Family:
+def _levelwise(g: WeightedGraph, w: list[dict[int, float]], roots, grow, max_dim: int | None) -> Family:
     """Every simplex grown from the roots, with its value, in (dimension, label) order.
 
-    roots lists (index, value, state) for the admitted vertices. For a simplex
-    s with value x, grow(s, x, state) yields (v, value, state) for each vertex
-    index v > s[-1] whose addition keeps s in the family. Only the states of
-    the current level are held, and the last level keeps none, as nothing
-    grows from it. Vertex labels are sorted, so index order is label order and
-    every tuple comes out canonical.
+    roots lists (index, state) for the admitted vertices, and each enters at
+    its lightest edge in the weight rows w, at -inf when isolated. For a
+    simplex s with value x, grow(s, x, state, candidates) yields (v, value,
+    state) for each v in the candidates mask whose addition keeps s in the
+    family. Passed the vertices above s[-1], it grows each simplex once;
+    passed every vertex outside s, it lists the cofaces of s. Only the states
+    of the current level are held, and the last level keeps none. Labels are
+    sorted, so index order is label order and every tuple comes out canonical.
     """
     labels = g.vertices
+    above = [(1 << len(labels)) - (2 << i) for i in range(len(labels))]
     top = len(labels) if max_dim is None else max_dim + 1  # vertices in the largest simplex
-    level = [((i,), x, state) for i, x, state in roots]
+    level = [((i,), min(w[i].values(), default=NEG_INF), state) for i, state in roots]
     order: list[Simplex] = []
     values: list[float] = []
     for size in range(1, top + 1):
@@ -192,30 +190,24 @@ def _levelwise(g: WeightedGraph, roots, grow, max_dim: int | None) -> Family:
             level = [
                 (s + (v,), y, child if size + 1 < top else None)
                 for s, x, state in level
-                for v, y, child in grow(s, x, state)
+                for v, y, child in grow(s, x, state, above[s[-1]])
             ]
     return order, values
-
-
-def _vertex_value(row: dict[int, float]) -> float:
-    return min(row.values(), default=NEG_INF)
 
 
 def _clique_family(g: WeightedGraph, max_dim: int | None = None) -> Family:
     """Cliques of g; a clique enters at the maximum weight over its edges.
 
-    The state is the mask of common neighbors above the last vertex.
+    The state is the mask of common neighbors.
     """
     adj, w = _tables(g)
-    above = [adj[i] & _above(i) for i in range(len(adj))]
 
-    def grow(s, x, common):
-        for v in _bits(common):
+    def grow(s, x, common, candidates):
+        for v in _bits(common & candidates):
             row = w[v]
-            yield v, max(x, max([row[u] for u in s])), common & above[v]
+            yield v, max(x, max([row[u] for u in s])), common & adj[v]
 
-    roots = [(i, _vertex_value(w[i]), above[i]) for i in range(len(adj))]
-    return _levelwise(g, roots, grow, max_dim)
+    return _levelwise(g, w, enumerate(adj), grow, max_dim)
 
 
 def _neighborhood_family(g: WeightedGraph, max_dim: int | None = None) -> Family:
@@ -223,19 +215,19 @@ def _neighborhood_family(g: WeightedGraph, max_dim: int | None = None) -> Family
 
     The state maps each witness c, a vertex with s inside N[c], in ascending
     order, to the largest weight among the edges from c to the other members
-    of s; the value is the least of those, the first on a tie. Vertices keep
-    the minimum-incident-weight rule. near[i] is vertex i's root state and
-    its weight row, with i itself at -inf so that max() passes it over.
+    of s; the value is the least of those, the first on a tie. near[i] is
+    vertex i's root state and its weight row, with i itself at -inf so that
+    max() passes it over.
     """
     adj, w = _tables(g)
     closed = [adj[i] | 1 << i for i in range(len(adj))]
     near = [{c: w[i].get(c, NEG_INF) for c in _bits(closed[i])} for i in range(len(w))]
 
-    def grow(s, x, witnesses):
+    def grow(s, x, witnesses, candidates):
         reach = 0
         for c in witnesses:
             reach |= closed[c]
-        for v in _bits(reach & _above(s[-1])):
+        for v in _bits(reach & candidates):
             row = near[v]
             child = {}
             for c, y in witnesses.items():
@@ -244,8 +236,7 @@ def _neighborhood_family(g: WeightedGraph, max_dim: int | None = None) -> Family
                     child[c] = t if t > y else y  # max(y, t): the first on a tie
             yield v, min(child.values()), child
 
-    roots = [(i, _vertex_value(w[i]), near[i]) for i in range(len(w))]
-    return _levelwise(g, roots, grow, max_dim)
+    return _levelwise(g, w, enumerate(near), grow, max_dim)
 
 
 _ENCLAVELESS_VERTEX_GUARD = 20
@@ -273,15 +264,14 @@ def _enclaveless_family(g: WeightedGraph, max_dim: int | None = None) -> Family:
     def lightest_out(x: int, mask: int) -> float:
         return next(w[x][u] for u in by_weight[x] if not mask >> u & 1)
 
-    def grow(s, x, mask):
-        for v in _bits(live & _above(s[-1])):
+    def grow(s, x, mask, candidates):
+        for v in _bits(live & candidates):
             grown = mask | 1 << v
             touched = list(_bits((adj[v] & mask) | 1 << v))
             if all(adj[t] & ~grown for t in touched):
                 yield v, max(x, max([lightest_out(t, grown) for t in touched])), grown
 
-    roots = [(i, _vertex_value(w[i]), 1 << i) for i in _bits(live)]
-    return _levelwise(g, roots, grow, max_dim)
+    return _levelwise(g, w, [(i, 1 << i) for i in _bits(live)], grow, max_dim)
 
 
 def clique_complex(g: WeightedGraph, max_dim: int | None = None) -> SimplicialComplex:

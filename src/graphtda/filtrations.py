@@ -3,7 +3,8 @@
 Conventions shared by all three filtrations:
 
 * a 0-simplex gets the minimum weight over its incident edges, with a -inf
-  sentinel for isolated vertices (no finite birth time is invented);
+  sentinel for isolated vertices (no finite birth time is invented); this
+  rule lives in one place, `complexes._levelwise`, which grows all three;
 * higher simplices get the smallest threshold t at which they qualify in the
   subgraph of edges of weight <= t, evaluated through closed forms that the
   test suite cross-checks against the literal smallest-t definition.
@@ -30,8 +31,9 @@ from .complexes import (
     _clique_family,
     _enclaveless_family,
     _neighborhood_family,
+    _tables,
 )
-from .graphs import WeightedGraph, _real
+from .graphs import WeightedGraph, _real, _signed
 
 INF = float("inf")
 
@@ -45,9 +47,9 @@ class FilteredComplex:
     on demand and `reduce` sorts each dimension block. `value`, a read-only
     mapping, is built on first use and cached. The constructor checks that the
     mapping is total on the complex; `_filtered` hands over the enumerator's
-    value list. A given value is an int or a float (no bool, no string) in
-    the float range, held as a float. Both reject NaN and value(face) >
-    value(simplex), so downstream reductions can trust their input.
+    value list. A given value is an int or a float (no bool, no string) in the
+    float range, held as a float. Both reject NaN and value(face) > value(simplex),
+    so downstream reductions can trust their input. Equality tells 0.0 from -0.0.
     """
 
     def __init__(self, complex: SimplicialComplex, values: Mapping[Simplex, float]):
@@ -99,7 +101,8 @@ class FilteredComplex:
     def __eq__(self, other) -> bool:
         if not isinstance(other, FilteredComplex):
             return NotImplemented
-        return self._complex == other._complex and self._levels == other._levels
+        same = self._complex == other._complex
+        return same and list(map(_signed, self._levels)) == list(map(_signed, other._levels))
 
     def __repr__(self) -> str:
         return f"FilteredComplex({len(self._levels)} simplices)"
@@ -169,8 +172,8 @@ class ExtendedPair:
 def _negated_completion(g: WeightedGraph) -> WeightedGraph:
     """The completion of g under negated weights: edges of g weigh the negation
     of their weight, non-edges the -inf sentinel."""
-    gbar = extend_weights(g)
-    return WeightedGraph(gbar.vertices, gbar.edges, {e: -w for e, w in gbar.weight.items()})
+    weights = {e: -g.weight.get(e, INF) for e in combinations(g.vertices, 2)}
+    return WeightedGraph(g.vertices, weights.keys(), weights)
 
 
 def extended_pair(g: WeightedGraph, max_dim: int | None = None) -> ExtendedPair:
@@ -210,13 +213,10 @@ def _edge_collapse(g: WeightedGraph) -> WeightedGraph:
     _require_weighted(g, "_edge_collapse")
     if len({math.copysign(1.0, w) for w in g.weight.values() if w == 0}) == 2:
         return g
-    index = {v: i for i, v in enumerate(g.vertices)}
-    order = sorted(g.weight.items(), key=lambda item: (item[1], item[0]))
-    ends = [(index[u], index[v]) for (u, v), _ in order]
-    base = [1 << i for i in range(len(index))]  # closed neighbourhoods over the untaken edges
-    for a, b in ends:
-        base[a] |= 1 << b
-        base[b] |= 1 << a
+    adj, w = _tables(g)
+    order = sorted((t, a, b) for a, row in enumerate(w) for b, t in row.items() if a < b)
+    ends = [(a, b) for _, a, b in order]
+    base = [adj[i] | 1 << i for i in range(len(adj))]  # closed neighbourhoods over the untaken edges
     kept: list[tuple[int, int, int]] = []  # (slot, a, b), ascending
     for i in range(len(ends) - 1, -1, -1):
         a, b = ends[i]
@@ -240,5 +240,5 @@ def _edge_collapse(g: WeightedGraph) -> WeightedGraph:
         else:
             insort(kept, (at, a, b))
     labels = g.vertices
-    weights = {(labels[a], labels[b]): order[slot][1] for slot, a, b in kept}
+    weights = {(labels[a], labels[b]): order[slot][0] for slot, a, b in kept}
     return WeightedGraph(labels, weights.keys(), weights)

@@ -33,6 +33,11 @@ def _real(x, *what) -> float:
     raise ValueError(f"{''.join(map(str, what))} must be an int or a float (not a bool), got {x!r}")
 
 
+def _signed(x: float) -> tuple[float, float]:
+    """x with its sign bit: 0.0 and -0.0 differ under ==, as they do in every output."""
+    return x, math.copysign(1.0, x)
+
+
 def edge(u: str, v: str) -> Edge:
     """Normalize an unordered vertex pair. Loops are rejected."""
     if u == v:
@@ -49,7 +54,7 @@ class WeightedGraph:
     range, held as a float; NaN is refused as "weight for edge (u, v) is NaN".
     Weights may be partial (constructions such as :func:`complement` produce
     unweighted edges); operations that need weights state so. Instances are
-    immutable after construction.
+    immutable after construction. Equality tells a weight of 0.0 from -0.0.
     """
 
     def __init__(
@@ -113,7 +118,8 @@ class WeightedGraph:
         return (
             self.vertices == other.vertices
             and self.edges == other.edges
-            and self.weight == other.weight
+            and {e: _signed(w) for e, w in self.weight.items()}
+            == {e: _signed(w) for e, w in other.weight.items()}
         )
 
     def __hash__(self) -> int:

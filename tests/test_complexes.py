@@ -1,6 +1,8 @@
+import math
 import random
 import re
 from itertools import combinations
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -22,6 +24,7 @@ from graphtda import (
     one_skeleton,
     simplex,
 )
+from graphtda.complexes import _clique_family, _enclaveless_family, _levelwise, _neighborhood_family
 from oracles import (
     dominating_sets_bruteforce,
     enclaveless_sets_bruteforce,
@@ -30,6 +33,8 @@ from oracles import (
 )
 from randutil import random_complex, random_weighted_graph, small_graphs
 from strategies import complexes, graphs, nested_graphs
+
+INF = float("inf")
 
 
 def complete(n):
@@ -420,6 +425,75 @@ class TestConstructionInvariants:
         bs = barycentric_subdivision(k)
         assert clique_complex(one_skeleton(bs)) == bs
         assert independent_complex(complement(one_skeleton(bs))) == bs
+
+
+FAMILIES = [_clique_family, _neighborhood_family, _enclaveless_family]
+
+
+def grown(family, g):
+    """The uncapped family of g, its grow rule, and (s, value, state) of every simplex grown."""
+    found, calls = [], []
+
+    def spy(g, w, roots, grow, max_dim):
+        def recording(s, x, state, candidates):
+            calls.append((s, x, state))
+            return grow(s, x, state, candidates)
+
+        found.append(grow)
+        return _levelwise(g, w, roots, recording, max_dim)
+
+    with mock.patch("graphtda.complexes._levelwise", spy):
+        order, values = family(g)
+    return order, values, found[0], calls
+
+
+def assert_grow_lists_cofaces(family, g) -> int:
+    """Given every vertex outside s, the grow rule lists the cofaces of s, with their values."""
+    order, values, grow, calls = grown(family, g)
+    index = {v: i for i, v in enumerate(g.vertices)}
+    value = {tuple([index[v] for v in s]): x for s, x in zip(order, values)}
+    assert len(calls) == sum(len(s) < len(g.vertices) for s in value)  # all below the top level
+    everyone = (1 << len(g.vertices)) - 1
+    for s, x, state in calls:
+        outside = everyone & ~sum(1 << i for i in s)
+        listed = [(tuple(sorted(s + (v,))), y) for v, y, _ in grow(s, x, state, outside)]
+        cofaces = {t: y for t, y in value.items() if len(t) == len(s) + 1 and set(s) < set(t)}
+        assert len(listed) == len(cofaces) and dict(listed) == cofaces, (family.__name__, s)
+    return len(calls)
+
+
+def signed_zero_graph(rng: random.Random) -> WeightedGraph:
+    """A graph whose weights are mostly signed zeros, with sentinels among them."""
+    vs = [f"v{i}" for i in range(rng.randint(1, 8))]
+    ws = {e: rng.choice([0.0, -0.0, -0.0, 0.0, 1.0, -INF, INF]) for e in combinations(vs, 2) if rng.random() < 0.6}
+    return WeightedGraph(vs, ws.keys(), ws)
+
+
+class TestGrowRules:
+    def test_grow_lists_cofaces_on_seeded_graphs(self):
+        rng = random.Random(23)
+        gs = small_graphs(rng, 40) + [random_weighted_graph(rng, max_n=9) for _ in range(20)]
+        gs += [signed_zero_graph(rng) for _ in range(40)]
+        grown_count = sum(assert_grow_lists_cofaces(family, g) for g in gs for family in FAMILIES)
+        assert grown_count > 10000
+
+    @settings(max_examples=40, deadline=None)
+    @given(graphs(weighted=True))
+    def test_grow_lists_cofaces(self, g):
+        for family in FAMILIES:
+            assert_grow_lists_cofaces(family, g)
+
+    def test_coface_from_another_face_can_flip_the_zero(self):
+        # Values agree under ==, but not always in the zero's sign: (v2, v3) is grown
+        # from (v2,), at -0.0, and listed from (v3,) at 0.0, the weight of v2v3.
+        ws = {("v0", "v2"): -0.0, ("v1", "v2"): -0.0, ("v2", "v3"): 0.0}
+        g = WeightedGraph(["v0", "v1", "v2", "v3"], ws.keys(), ws)
+        order, values, grow, calls = grown(_clique_family, g)
+        [(x, state)] = [(x, state) for s, x, state in calls if s == (3,)]
+        [(v, y, _)] = grow((3,), x, state, 0b0111)
+        canonical = dict(zip(order, values))[("v2", "v3")]
+        assert v == 2 and y == canonical == 0.0
+        assert math.copysign(1.0, y) == 1.0 and math.copysign(1.0, canonical) == -1.0
 
 
 class TestComplexIsomorphic:

@@ -262,6 +262,11 @@ class TestFilteredComplexType:
         with pytest.raises(ValueError, match=re.escape(message)):
             _filtered((order, levels))
 
+    def test_signed_zero_values_differ(self):
+        plus, minus = filter_clique(parse_graph("a b 0.0\n")), filter_clique(parse_graph("a b -0.0\n"))
+        assert plus.complex == minus.complex and plus != minus
+        assert plus == filter_clique(parse_graph("b a 0\n"))
+
     def test_rejects_stray_values(self):
         k = SimplicialComplex.from_facets([("a",)])
         with pytest.raises(ValueError, match="outside"):

@@ -287,6 +287,10 @@ class TestValidation:
         assert g1 == g2 and hash(g1) == hash(g2)
         assert len({g1, g2}) == 1
         assert len({g1, WeightedGraph(g1.vertices, g1.edges, {("a", "b"): 1.0, ("b", "c"): 3.0})}) == 2
+        # persist writes "birth": 0.0 for one and -0.0 for the other, so they are not one graph.
+        plus, minus = parse_graph("a b 0.0\n"), parse_graph("a b -0.0\n")
+        assert plus != minus and len({plus, minus}) == 2
+        assert plus == parse_graph("b a 0\n")
 
     def test_endpoints_added(self):
         g = WeightedGraph([], [("a", "b")])

@@ -22,7 +22,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 from graphtda import ExtendedPersistence, extended_pair, parse_graph, serialize  # noqa: E402
-from graphtda.cli import main as graphtda, sample_coordinates  # noqa: E402
+from graphtda.cli import main as graphtda  # noqa: E402
 
 
 def run(*args) -> None:
@@ -64,7 +64,7 @@ def main() -> int:
 
     # No command compares two weightings on one lattice, so this reads the library.
     pa, pb = (extended_pair(parse_graph((data / f"{name}.txt").read_text()), 2) for name in names)
-    coords = sample_coordinates(pa.ascending.critical_values() + pb.ascending.critical_values())
+    coords = serialize.sample_coordinates(pa.ascending.critical_values() + pb.ascending.critical_values())
     ga, gb = (ExtendedPersistence(p, 1).grid(0, coords) for p in (pa, pb))
     cells = [(u, v, a, b) for u, ra, rb in zip(coords, ga, gb) for v, a, b in zip(coords, ra, rb)]
     same_above = all(a == b for u, v, a, b in cells if u < v)

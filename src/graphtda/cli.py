@@ -8,8 +8,6 @@ violation.
 from __future__ import annotations
 
 import argparse
-import json
-import math
 import sys
 
 from . import serialize, svg
@@ -25,6 +23,7 @@ from .filtrations import (
 )
 from .graphs import GraphParseError, WeightedGraph, parse_graph
 from .persistence import ExtendedPersistence, PersistenceDiagram, reduce
+from .serialize import sample_coordinates  # perfbench/tracing.py imports it from here
 
 
 class UsageError(Exception):
@@ -72,19 +71,6 @@ def _write_output(text: str, path: str | None) -> None:
             fh.write(text)
     except OSError as exc:
         raise UsageError(f"cannot write {path}: {exc}") from None
-
-
-def sample_coordinates(values: tuple[float, ...]) -> list[float]:
-    """Deterministic query lattice: finite criticals, midpoints, and one step past
-    each end (serialize.step_past), so its first is below its last; else [0.0, 1.0]."""
-    finite = sorted({v for v in values if math.isfinite(v)})
-    if not finite:
-        return [0.0, 1.0]
-    coords = [serialize.step_past(finite[0], -math.inf)]
-    for a, b in zip(finite, finite[1:]):
-        coords.extend([a, serialize.midpoint(a, b)])
-    coords.extend([finite[-1], serialize.step_past(finite[-1], math.inf)])
-    return coords
 
 
 def _check_extended(construction: str) -> None:
@@ -149,19 +135,11 @@ def cmd_persist(args) -> int:
 
 
 def _load_document(path: str) -> dict | list[PersistenceDiagram]:
-    """The checked diagrams in path, one per degree in ascending order, read from JSON
-    or CSV by one rule (serialize), or the checked grids of an extended document."""
+    """serialize.read_document of the text in path; malformed input names the path."""
     text = _read_text(path)
     try:
-        if not text.lstrip().startswith(("{", "[")):
-            return serialize.diagrams_from_csv(text)
-        doc = json.loads(text)
-        if isinstance(doc, dict) and "grids" in doc:
-            return serialize.grids_from_json(doc["grids"])
-        return serialize.diagrams_from_json(doc)
+        return serialize.read_document(text)
     except (ValueError, RecursionError) as exc:
-        # json.loads raises ValueError beyond its digit limit, and recurses once
-        # per nesting level, so a long number or a deep document is malformed input
         raise InputError(f"{path}: {exc}") from None
 
 

@@ -81,7 +81,13 @@ class SimplicialComplex:
         cls, facets: Iterable[Iterable[str]], max_dim: int | None = None
     ) -> "SimplicialComplex":
         """Downward closure of the given simplices, optionally capped at max_dim."""
-        return cls._from_ordered(sorted(sorted(_closure(facets, max_dim)), key=len))
+        out: set[Simplex] = set()
+        for f in facets:
+            base = simplex(f)
+            top = len(base) if max_dim is None else min(len(base), max_dim + 1)
+            for k in range(1, top + 1):
+                out.update(combinations(base, k))
+        return cls._from_ordered(sorted(sorted(out), key=len))
 
     @cached_property
     def simplices(self) -> frozenset[Simplex]:
@@ -124,16 +130,6 @@ class SimplicialComplex:
 
     def __repr__(self) -> str:
         return f"SimplicialComplex({len(self._order)} simplices, dim {self.dim})"
-
-
-def _closure(facets: Iterable[Iterable[str]], max_dim: int | None = None) -> set[Simplex]:
-    out: set[Simplex] = set()
-    for f in facets:
-        base = simplex(f)
-        top = len(base) if max_dim is None else min(len(base), max_dim + 1)
-        for k in range(1, top + 1):
-            out.update(combinations(base, k))
-    return out
 
 
 # Every construction is a family of vertex sets closed under subsets. One
@@ -347,7 +343,7 @@ def complex_isomorphic(a: SimplicialComplex, b: SimplicialComplex) -> bool:
 
     if a == b:
         return True
-    if [len(s) for s in a] != [len(s) for s in b]:
+    if a._starts != b._starts:
         return False
 
     def incidence(k: SimplicialComplex) -> WeightedGraph:

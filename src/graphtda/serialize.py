@@ -1,9 +1,9 @@
-"""External document formats: complex JSON, filtered-complex JSON, diagram JSON/CSV, and
-the extended document of `persist --extended` (both sides' diagrams and the PBN grids).
+"""External document formats: complex JSON, filtered-complex JSON, diagram JSON/CSV and the
+`persist --extended` document (both sides' diagrams, PBN grids on `sample_coordinates`).
 
-All emitters are deterministic (fixed key order, sorted content), so repeated
-runs on the same input are byte-identical. The infinity sentinels travel as
-the strings "inf" and "-inf".
+All emitters are deterministic (fixed key order, sorted content), so repeated runs on the
+same input are byte-identical. The infinity sentinels travel as the strings "inf" and "-inf".
+`read_document` tells CSV, diagram JSON and an extended document apart, and checks each.
 """
 
 from __future__ import annotations
@@ -176,6 +176,19 @@ def step_past(x: float, direction: float) -> float:
     return y if math.isfinite(y) else x
 
 
+def sample_coordinates(values: tuple[float, ...]) -> list[float]:
+    """Deterministic query lattice: finite criticals, midpoints, and one step past
+    each end (step_past), so its first is below its last; else [0.0, 1.0]."""
+    finite = sorted({v for v in values if math.isfinite(v)})
+    if not finite:
+        return [0.0, 1.0]
+    coords = [step_past(finite[0], -math.inf)]
+    for a, b in zip(finite, finite[1:]):
+        coords.extend([a, midpoint(a, b)])
+    coords.extend([finite[-1], step_past(finite[-1], math.inf)])
+    return coords
+
+
 def extended_to_doc(ext: ExtendedPersistence, coords: list[float]) -> dict:
     """The document `persist --extended` writes: the diagrams of both sides and, for each
     degree up to ext.max_dim, the extended-PBN grid sampled at coords."""
@@ -269,3 +282,15 @@ def diagrams_from_csv(text: str) -> list[PersistenceDiagram]:
         except ValueError as exc:
             raise DocumentError(f"CSV line {lineno}: {exc}") from None
     return _pooled(rows)
+
+
+def read_document(text: str) -> dict | list[PersistenceDiagram]:
+    """Checked diagrams from CSV unless the stripped text starts with { or [; from JSON, the
+    grids of an object with "grids", else the diagrams. Raises ValueError or RecursionError."""
+    if not text.lstrip().startswith(("{", "[")):
+        return diagrams_from_csv(text)
+    # ValueError past json.loads' digit limit; RecursionError, one frame per nesting level
+    doc = json.loads(text)
+    if isinstance(doc, dict) and "grids" in doc:
+        return grids_from_json(doc["grids"])
+    return diagrams_from_json(doc)

@@ -179,14 +179,13 @@ class TestPersist:
         code, out, _ = run(["persist", graph_file("z.txt", text), "--extended", "--max-dim", "1"], capsys)
         assert code == 0
         from graphtda import extended_pair, parse_graph
-        from graphtda.cli import sample_coordinates
         from graphtda.filtrations import _edge_collapse, _negated_completion
         from graphtda.persistence import ExtendedPersistence
 
         g = parse_graph(text)
         pair = extended_pair(g, 2)
         ext = ExtendedPersistence(pair, 1)
-        coords = sample_coordinates(pair.ascending.critical_values())
+        coords = serialize.sample_coordinates(pair.ascending.critical_values())
         want = serialize.extended_to_doc(ext, coords)
         assert out == serialize.dumps(want) and '"death": -0.0' in out
         for h in (g, _negated_completion(g)):

@@ -1,3 +1,4 @@
+import math
 import random
 import sys
 from itertools import combinations
@@ -10,9 +11,10 @@ from graphtda import (
     SimplicialComplex,
     WeightedGraph,
     filter_clique,
+    filter_enclaveless,
+    filter_neighborhood,
     parse_graph,
 )
-from graphtda.cli import sample_coordinates
 from graphtda.filtrations import extended_pair
 from graphtda.persistence import (
     DiagramPoint,
@@ -21,6 +23,7 @@ from graphtda.persistence import (
     PersistenceDiagram,
     reduce,
 )
+from graphtda.serialize import sample_coordinates
 from oracles import SublevelRankOracle, oracle_betti, oracle_diagrams
 from randutil import random_complex, random_filtration_values, random_weighted_graph
 from strategies import graphs
@@ -296,6 +299,34 @@ class TestAgainstTextbookReduction:
                     for r, (points, essential) in enumerate(oracle_diagrams(values, max_dim))
                 ]
                 assert reduce(fc, max_dim) == expect, (case, max_dim, sorted(values.items()))
+
+    def test_every_family_on_the_persist_path(self):
+        # persist reduces filter_*(g, cap) to degree cap - 1, here at caps 1-4 on tie-heavy
+        # weights. A diagram merges (0.0, d) with (-0.0, d) and keeps the sign of the class
+        # added first, which follows reduce's pair order, so repr is compared only where
+        # the weights hold at most one sign of zero.
+        pool = (0.0, -0.0, 1.0, 2.5, -3.0, 1e300, -1e300, INF, -INF)
+        rng = random.Random(2029)
+        simplices = 0
+        for _ in range(150):
+            vs = [f"v{i}" for i in range(rng.randint(1, 7))]
+            weights, density = rng.sample(pool, rng.randint(1, len(pool))), rng.random()
+            ws = {e: rng.choice(weights) for e in combinations(vs, 2) if rng.random() < density}
+            g = WeightedGraph(vs, ws.keys(), ws)
+            one_zero = len({math.copysign(1.0, w) for w in ws.values() if w == 0}) <= 1
+            for family in (filter_clique, filter_neighborhood, filter_enclaveless):
+                for cap in range(1, 5):
+                    fc = family(g, cap)
+                    simplices += len(fc)
+                    got = reduce(fc, cap - 1)
+                    want = [
+                        PersistenceDiagram(r, points, essential)
+                        for r, (points, essential) in enumerate(oracle_diagrams(dict(fc.value), cap - 1))
+                    ]
+                    assert got == want, (family.__name__, cap, sorted(ws.items()))
+                    if one_zero:
+                        assert repr(got) == repr(want), (family.__name__, cap, sorted(ws.items()))
+        assert simplices > 10_000
 
 
 class TestExtended:

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphtda import parse_graph, serialize
-from graphtda.cli import sample_coordinates
 from graphtda.complexes import SimplicialComplex
 from graphtda.filtrations import extended_pair, filter_clique
 from graphtda.persistence import DiagramPoint, EssentialPoint, ExtendedPersistence, PersistenceDiagram, reduce
@@ -204,12 +203,39 @@ class TestDiagramDocs:
             )
             pair = extended_pair(parse_graph(text + "".join(f"{v}\n" for v in labels)), max_dim + 1)
             ext = ExtendedPersistence(pair, max_dim)
-            coords = sample_coordinates(pair.ascending.critical_values())
+            coords = serialize.sample_coordinates(pair.ascending.critical_values())
             doc = serialize.extended_to_doc(ext, coords)
             want = {r: (coords, ext.grid(r, coords)) for r in range(max_dim + 1)}
             for grids in (doc["grids"], json.loads(serialize.dumps(doc))["grids"]):
                 got = serialize.grids_from_json(grids)
                 assert got == want and repr(got) == repr(want)
+
+    def test_lattice_of_any_values_is_a_grid_the_reader_accepts(self):
+        # Unsorted values with repeats, as the figure script and the benchmark's trace
+        # pass them: signed zeros, infinities, the largest floats and a value past 2**53.
+        pool = (0.0, -0.0, INF, -INF, sys.float_info.max, -sys.float_info.max, 1e300, float(2**53 + 2), 1.0, -2.5)
+        rng = random.Random("lattice")
+        cases = [(), (INF, -INF, INF), (1e300,)]
+        cases += [tuple(rng.choice(pool) for _ in range(rng.randint(0, 12))) for _ in range(3000)]
+        for values in cases:
+            coords = serialize.sample_coordinates(values)
+            finite = [v for v in values if v not in (INF, -INF)]
+            if not finite:
+                assert coords == [0.0, 1.0]
+                continue
+            assert len(coords) == 2 * len(set(finite)) + 1, values  # a set holds one of 0.0 and -0.0
+            assert all(v in coords for v in finite), values
+            n = len(coords)
+            grid = {"dimension": 0, "coordinates": coords, "values": [[0] * n for _ in range(n)]}
+            assert serialize.grids_from_json([grid]) == {0: (coords, grid["values"])}
+
+    def test_read_document_tells_the_formats_apart(self):
+        d = [PersistenceDiagram(0, [(0.0, 1.0)], [2.0]), PersistenceDiagram(1, essential=[-INF])]
+        assert serialize.read_document(serialize.diagrams_to_csv(d)) == d
+        assert serialize.read_document("\n " + serialize.dumps([serialize.diagram_to_doc(x) for x in d])) == d
+        grids = {"grids": [{"dimension": 0, "coordinates": [0, 1], "values": [[0, 0], [0, 1]]}]}
+        assert serialize.read_document(json.dumps(grids)) == {0: ([0.0, 1.0], [[0, 0], [0, 1]])}
+        assert serialize.read_document("") == []
 
     def test_csv_rejects_infinite_proper_death(self):
         d = PersistenceDiagram(0, [(0.0, INF)])

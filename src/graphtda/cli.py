@@ -8,6 +8,7 @@ violation.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 
 from . import serialize, svg
@@ -63,14 +64,22 @@ def _load_graph(path: str) -> WeightedGraph:
 
 
 def _write_output(text: str, path: str | None) -> None:
-    if path is None:
-        sys.stdout.write(text)
-        return
     try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        if path is not None:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        elif sys.stdout is None:
+            raise OSError("file descriptor 1 is closed")
+        else:
+            sys.stdout.write(text)
+            sys.stdout.flush()
     except OSError as exc:
-        raise UsageError(f"cannot write {path}: {exc}") from None
+        if path is None and sys.stdout is not None:
+            # Else the flush at exit fails again on the buffered bytes: a traceback, exit 120.
+            with contextlib.suppress(OSError):
+                sys.stdout.close()
+        where = "standard output" if path is None else path
+        raise UsageError(f"cannot write {where}: {exc}") from None
 
 
 def _check_extended(construction: str) -> None:
@@ -81,7 +90,7 @@ def _check_extended(construction: str) -> None:
         )
 
 
-def cmd_build(args) -> int:
+def cmd_build(args) -> str:
     g = _load_graph(args.input)
     if args.extended:
         _check_extended(args.construction)
@@ -96,11 +105,10 @@ def cmd_build(args) -> int:
         fc = _FILTERED[args.construction](g, args.max_dim)
         doc = serialize.complex_to_doc(fc.complex)
         doc["simplices"] = serialize.filtered_to_doc(fc)["simplices"]
-    _write_output(serialize.dumps(doc), args.output)
-    return 0
+    return serialize.dumps(doc)
 
 
-def cmd_persist(args) -> int:
+def cmd_persist(args) -> str:
     g = _load_graph(args.input)
     if args.extended:
         _check_extended(args.construction)
@@ -115,8 +123,7 @@ def cmd_persist(args) -> int:
         ext = ExtendedPersistence(ExtendedPair(ascending, descending), args.max_dim)
         # Edges are in (cap >= 1): the descending finite values are these weights, negated.
         coords = sample_coordinates(ascending.critical_values())
-        _write_output(serialize.dumps(serialize.extended_to_doc(ext, coords)), args.output)
-        return 0
+        return serialize.dumps(serialize.extended_to_doc(ext, coords))
     if args.construction == "independent":
         raise UsageError(
             "independent sets reverse inclusion and admit no weight filtration; "
@@ -125,13 +132,8 @@ def cmd_persist(args) -> int:
     fc = _FILTERED[args.construction](g, args.max_dim + 1)
     diagrams = reduce(fc, args.max_dim)
     if args.format == "csv":
-        _write_output(serialize.diagrams_to_csv(diagrams), args.output)
-    else:
-        _write_output(
-            serialize.dumps([serialize.diagram_to_doc(d) for d in diagrams]),
-            args.output,
-        )
-    return 0
+        return serialize.diagrams_to_csv(diagrams)
+    return serialize.dumps([serialize.diagram_to_doc(d) for d in diagrams])
 
 
 def _load_document(path: str) -> dict | list[PersistenceDiagram]:
@@ -154,28 +156,24 @@ def _select_diagram(path: str, dimension: int | None) -> PersistenceDiagram:
     return next((d for d in diagrams if d.dimension == dimension), PersistenceDiagram(dimension))
 
 
-def cmd_distance(args) -> int:
+def cmd_distance(args) -> str:
     from .metrics import bottleneck
 
     d1 = _select_diagram(args.first, args.dimension)
     d2 = _select_diagram(args.second, args.dimension)
-    print(bottleneck(d1, d2))
-    return 0
+    return f"{bottleneck(d1, d2)}\n"
 
 
-def cmd_plot(args) -> int:
+def cmd_plot(args) -> str:
     doc = _load_document(args.input)
     if isinstance(doc, dict):
         r = args.dimension or 0
         if r not in doc:
             raise UsageError(f"no grid of degree {r} in {args.input}")
-        rendered = svg.render_extended_grid(*doc[r])
-    else:
-        if args.dimension is not None:
-            doc = [d for d in doc if d.dimension == args.dimension]
-        rendered = svg.render_diagrams(doc)
-    _write_output(rendered, args.output)
-    return 0
+        return svg.render_extended_grid(*doc[r])
+    if args.dimension is not None:
+        doc = [d for d in doc if d.dimension == args.dimension]
+    return svg.render_diagrams(doc)
 
 
 def _nonnegative(text: str) -> int:
@@ -232,7 +230,7 @@ def _build_parser() -> argparse.ArgumentParser:
     d.add_argument("first")
     d.add_argument("second")
     d.add_argument("--dimension", type=_nonnegative, default=None)
-    d.set_defaults(fn=cmd_distance)
+    d.set_defaults(fn=cmd_distance, output=None)
 
     pl = sub.add_parser("plot", help="render diagrams or an extended grid to SVG")
     pl.add_argument("input")
@@ -250,7 +248,8 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.fn(args)
+        _write_output(args.fn(args), args.output)
+        return 0
     except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

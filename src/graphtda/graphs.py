@@ -64,9 +64,7 @@ class WeightedGraph:
         weights: Mapping[tuple[str, str], float] | None = None,
     ):
         vs = set(vertices)
-        es = set()
-        for u, v in edges:
-            es.add(edge(u, v))
+        es = {edge(u, v) for u, v in edges}
         for u, v in es:
             vs.add(u)
             vs.add(v)
@@ -79,6 +77,8 @@ class WeightedGraph:
                 e = edge(*key)
                 if e not in es:
                     raise ValueError(f"weight given for missing edge {e}")
+                if e in ws:
+                    raise ValueError(f"weight given twice for edge {e}")
                 ws[e] = _real(w, "weight for edge ", e)
         self.vertices: tuple[str, ...] = tuple(sorted(vs))
         self.edges: frozenset[Edge] = frozenset(es)

@@ -1,3 +1,5 @@
+import errno
+import io
 import json
 import math
 import os
@@ -35,6 +37,23 @@ def run(args, capsys):
     code = main(args)
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+class FailingStdout(io.StringIO):
+    """A standard output whose method `name` raises `exc`."""
+
+    def __init__(self, name, exc):
+        super().__init__()
+        self.name, self.exc = name, exc
+
+    def write(self, text):
+        if self.name == "write":
+            raise self.exc
+        return super().write(text)
+
+    def flush(self):
+        if self.name == "flush":
+            raise self.exc
 
 
 HUGE = "0" * 400  # after a leading 1: an integer beyond every float
@@ -245,6 +264,22 @@ class TestPersist:
         assert outputs[0] == outputs[1]
         # a takes the sign of its edge to b, its first neighbour in label order
         assert outputs[0].startswith(b"0,0.0,inf,1\n")
+
+    def test_reader_closing_the_pipe_exits_1(self, graph_file):
+        # A real pipe, closed by its reader after one byte of an output far
+        # past the pipe's buffer. Unbuffered stdout (python -u) is left out:
+        # there a partial write to the closing pipe is dropped, not raised.
+        rng = random.Random(12)
+        text = "".join(f"v{i} v{j} {rng.randint(1, 99)}\n" for i in range(12) for j in range(i + 1, 12))
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        argv = [sys.executable, "-m", "graphtda.cli", "persist", graph_file("k12.txt", text), "--extended"]
+        with subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+            assert proc.stdout.read(1) == b"{"
+            proc.stdout.close()
+            err = proc.stderr.read().decode()
+        assert proc.returncode == 1, err
+        assert err.startswith("error: cannot write standard output: ") and err.count("\n") == 1, err
 
     def test_neighborhood_construction(self, graph_file, capsys):
         code, out, _ = run(
@@ -516,11 +551,38 @@ class TestPlot:
             assert code == 2 and out == ""
             assert err.startswith(f"error: {p}: CSV line 3: ") and message in err, err
 
-    def test_unwritable_output(self, tmp_path, capsys):
+    def test_unwritable_output(self, graph_file, tmp_path, monkeypatch, capsys):
+        # Every command, into a --output path in a missing directory and into a
+        # standard output that a closed pipe, a full disk or a closed file
+        # descriptor 1 (sys.stdout is None) fails, exits 1 with one stderr line.
+        graph = graph_file("k4.txt", K4_TEXT)
         p = tmp_path / "d.json"
         p.write_text(serialize.dumps([serialize.diagram_to_doc(PersistenceDiagram(0))]))
-        code, _, err = run(["plot", str(p), "--output", str(tmp_path / "nodir" / "x.svg")], capsys)
-        assert code == 1 and "cannot write" in err
+        commands = [
+            ["build", graph],
+            ["persist", graph],
+            ["persist", graph, "--format", "csv"],
+            ["persist", graph, "--extended"],
+            ["plot", str(p)],
+            ["distance", str(p), str(p)],
+        ]
+        for command in commands:
+            cases = [] if command[0] == "distance" else [  # distance has no --output
+                (command + ["--output", str(tmp_path / "nodir" / "x")], sys.stdout, str(tmp_path)),
+            ]
+            cases += [
+                (command, FailingStdout("write", BrokenPipeError(errno.EPIPE, "Broken pipe")), "standard output"),
+                (command, FailingStdout("flush", OSError(errno.ENOSPC, "No space left")), "standard output"),
+                (command, None, "standard output: file descriptor 1 is closed"),
+            ]
+            for argv, stdout, where in cases:
+                with monkeypatch.context() as m:
+                    m.setattr(sys, "stdout", stdout)
+                    code, out, err = run(argv, capsys)
+                assert code == 1 and out == "", argv
+                assert err.startswith(f"error: cannot write {where}") and err.count("\n") == 1, (argv, err)
+                if isinstance(stdout, FailingStdout):
+                    assert stdout.closed  # so the flush at exit does not retry the write
 
     def test_spans_past_the_float_range_plot_without_nan(self, graph_file, tmp_path, capsys):
         # An extended grid over weights of -1.7e308 and 1.7e308, and a diagram

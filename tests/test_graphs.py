@@ -275,6 +275,12 @@ class TestValidation:
         with pytest.raises(KeyError, match="has no weight"):
             K(2).edge_weight("k0", "k1")
 
+    def test_weight_given_twice(self):
+        # Both orientations of one edge, equal or not: the second would replace the first.
+        for second in (2.0, 1.0):
+            with pytest.raises(ValueError, match=r"weight given twice for edge \('a', 'b'\)"):
+                WeightedGraph(["a", "b"], [("a", "b")], {("a", "b"): 1.0, ("b", "a"): second})
+
     def test_nan_weight(self):
         with pytest.raises(ValueError):
             WeightedGraph(["a", "b"], [("a", "b")], {("a", "b"): float("nan")})

@@ -21,7 +21,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-from graphtda import ExtendedPersistence, extended_pair, parse_graph, serialize  # noqa: E402
+from graphtda import ExtendedPersistence, parse_graph, serialize  # noqa: E402
 from graphtda.cli import main as graphtda  # noqa: E402
 
 
@@ -63,9 +63,10 @@ def main() -> int:
             run("plot", ext_json, "--output", out_dir / f"{name}_grid.svg")
 
     # No command compares two weightings on one lattice, so this reads the library.
-    pa, pb = (extended_pair(parse_graph((data / f"{name}.txt").read_text()), 2) for name in names)
-    coords = serialize.sample_coordinates(pa.ascending.critical_values() + pb.ascending.critical_values())
-    ga, gb = (ExtendedPersistence(p, 1).grid(0, coords) for p in (pa, pb))
+    graphs = (parse_graph((data / f"{name}.txt").read_text()) for name in names)
+    ea, eb = (ExtendedPersistence.of_graph(g, 1) for g in graphs)
+    coords = serialize.sample_coordinates(ea.critical_values + eb.critical_values)
+    ga, gb = (e.grid(0, coords) for e in (ea, eb))
     cells = [(u, v, a, b) for u, ra, rb in zip(coords, ga, gb) for v, a, b in zip(coords, ra, rb)]
     same_above = all(a == b for u, v, a, b in cells if u < v)
     witness = next(((u, v, a, b) for u, v, a, b in cells if u > v and a != b), None)

@@ -13,15 +13,7 @@ import sys
 
 from . import serialize, svg
 from .complexes import independent_complex
-from .filtrations import (
-    ExtendedPair,
-    _edge_collapse,
-    _negated_completion,
-    extended_pair,
-    filter_clique,
-    filter_enclaveless,
-    filter_neighborhood,
-)
+from .filtrations import extended_pair, filter_clique, filter_enclaveless, filter_neighborhood
 from .graphs import GraphParseError, WeightedGraph, parse_graph
 from .persistence import ExtendedPersistence, PersistenceDiagram, reduce
 from .serialize import sample_coordinates  # perfbench/tracing.py imports it from here
@@ -70,6 +62,13 @@ def _write_output(text: str, path: str | None) -> None:
                 fh.write(text)
         elif sys.stdout is None:
             raise OSError("file descriptor 1 is closed")
+        elif hasattr(sys.stdout, "buffer"):
+            # Unbuffered (python -u), the text layer drops what a short write leaves over.
+            out = sys.stdout.buffer
+            data = memoryview(text.encode(sys.stdout.encoding, sys.stdout.errors))
+            while data:
+                data = data[out.write(data):]
+            out.flush()
         else:
             sys.stdout.write(text)
             sys.stdout.flush()
@@ -114,16 +113,7 @@ def cmd_persist(args) -> str:
         _check_extended(args.construction)
         if args.format != "json":
             raise UsageError("extended output carries PBN grids and is JSON only")
-        # One extra dimension in the complexes keeps every emitted degree exact. The
-        # descending side is built from the edge-collapsed negated completion: its
-        # diagrams are those of the full capped simplex, which `build` writes.
-        cap = args.max_dim + 1
-        ascending = filter_clique(g, cap)
-        descending = filter_clique(_edge_collapse(_negated_completion(g)), cap)
-        ext = ExtendedPersistence(ExtendedPair(ascending, descending), args.max_dim)
-        # Edges are in (cap >= 1): the descending finite values are these weights, negated.
-        coords = sample_coordinates(ascending.critical_values())
-        return serialize.dumps(serialize.extended_to_doc(ext, coords))
+        return serialize.dumps(serialize.extended_to_doc(ExtendedPersistence.of_graph(g, args.max_dim)))
     if args.construction == "independent":
         raise UsageError(
             "independent sets reverse inclusion and admit no weight filtration; "

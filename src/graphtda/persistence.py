@@ -30,8 +30,8 @@ from itertools import accumulate
 from typing import Iterable
 
 from .complexes import SimplicialComplex
-from .filtrations import ExtendedPair, FilteredComplex
-from .graphs import _real
+from .filtrations import ExtendedPair, FilteredComplex, _edge_collapse, _negated_completion, filter_clique
+from .graphs import WeightedGraph, _real
 
 
 @dataclass(frozen=True, order=True)
@@ -246,13 +246,28 @@ class ExtendedPersistence:
     """Precomputed diagrams of an extended pair, for repeated plane queries.
 
     Each diagram's ranks are tabulated once, so a query is two bisections.
+    `serialize.extended_to_doc` samples its lattice from `critical_values`, the ascending
+    side's: with edges in (cap >= 1) the descending side's are these, negated.
     """
 
     def __init__(self, pair: ExtendedPair, max_dim: int):
         self.max_dim = max_dim
+        self.critical_values = pair.ascending.critical_values()
         self.ascending = tuple(reduce(pair.ascending, max_dim))
         self.descending = tuple(reduce(pair.descending, max_dim))
         self._tables = [(_rank_table(a), _rank_table(d)) for a, d in zip(self.ascending, self.descending)]
+
+    @classmethod
+    def of_graph(cls, g: WeightedGraph, max_dim: int) -> ExtendedPersistence:
+        """Extended persistence of g in degrees 0..max_dim, as `persist --extended` runs it.
+
+        Both sides are capped at max_dim + 1, which keeps every degree exact. The descending
+        side is the clique filtration of the edge-collapsed negated completion: it has the
+        diagrams of the full capped simplex that `extended_pair` builds, on fewer simplices.
+        """
+        cap = max_dim + 1
+        ascending = filter_clique(g, cap)
+        return cls(ExtendedPair(ascending, filter_clique(_edge_collapse(_negated_completion(g)), cap)), max_dim)
 
     def _degree(self, r: int):
         """The (ascending, descending) rank tables of degree r."""

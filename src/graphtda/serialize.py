@@ -1,5 +1,6 @@
 """External document formats: complex JSON, filtered-complex JSON, diagram JSON/CSV and the
-`persist --extended` document (both sides' diagrams, PBN grids on `sample_coordinates`).
+`persist --extended` document (both sides' diagrams, PBN grids on the lattice that
+`sample_coordinates` draws from the object's own critical values).
 
 All emitters are deterministic (fixed key order, sorted content), so repeated runs on the
 same input are byte-identical. The infinity sentinels travel as the strings "inf" and "-inf".
@@ -189,9 +190,10 @@ def sample_coordinates(values: tuple[float, ...]) -> list[float]:
     return coords
 
 
-def extended_to_doc(ext: ExtendedPersistence, coords: list[float]) -> dict:
+def extended_to_doc(ext: ExtendedPersistence) -> dict:
     """The document `persist --extended` writes: the diagrams of both sides and, for each
-    degree up to ext.max_dim, the extended-PBN grid sampled at coords."""
+    degree up to ext.max_dim, the extended-PBN grid on the lattice of ext.critical_values."""
+    coords = sample_coordinates(ext.critical_values)
     return {
         "ascending": [diagram_to_doc(d) for d in ext.ascending],
         "descending": [diagram_to_doc(d) for d in ext.descending],

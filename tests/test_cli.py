@@ -202,10 +202,7 @@ class TestPersist:
         from graphtda.persistence import ExtendedPersistence
 
         g = parse_graph(text)
-        pair = extended_pair(g, 2)
-        ext = ExtendedPersistence(pair, 1)
-        coords = serialize.sample_coordinates(pair.ascending.critical_values())
-        want = serialize.extended_to_doc(ext, coords)
+        want = serialize.extended_to_doc(ExtendedPersistence(extended_pair(g, 2), 1))
         assert out == serialize.dumps(want) and '"death": -0.0' in out
         for h in (g, _negated_completion(g)):
             assert repr(sorted(_edge_collapse(h).weight.items())) == repr(sorted(h.weight.items()))
@@ -265,13 +262,15 @@ class TestPersist:
         # a takes the sign of its edge to b, its first neighbour in label order
         assert outputs[0].startswith(b"0,0.0,inf,1\n")
 
-    def test_reader_closing_the_pipe_exits_1(self, graph_file):
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    def test_reader_closing_the_pipe_exits_1(self, graph_file, unbuffered):
         # A real pipe, closed by its reader after one byte of an output far
-        # past the pipe's buffer. Unbuffered stdout (python -u) is left out:
-        # there a partial write to the closing pipe is dropped, not raised.
+        # past the pipe's buffer.
         rng = random.Random(12)
         text = "".join(f"v{i} v{j} {rng.randint(1, 99)}\n" for i in range(12) for j in range(i + 1, 12))
         env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
         argv = [sys.executable, "-m", "graphtda.cli", "persist", graph_file("k12.txt", text), "--extended"]
         with subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:

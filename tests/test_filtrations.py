@@ -24,7 +24,8 @@ from graphtda import (
     threshold_subgraph,
 )
 from graphtda.filtrations import _edge_collapse, _filtered, _negated_completion
-from graphtda.persistence import PersistenceDiagram
+from graphtda.persistence import ExtendedPersistence, PersistenceDiagram
+from graphtda.serialize import dumps, extended_to_doc
 from oracles import SmallestTOracle, oracle_diagrams
 from randutil import (
     random_complex,
@@ -178,14 +179,19 @@ class TestExtendedPair:
 
 
 def collapse_graphs(rng: random.Random, count: int) -> list[WeightedGraph]:
-    """Graphs on 1 to 9 vertices: edgeless, complete, with isolated vertices,
-    and with weights from a pool of ties, one of +-inf and +-1e300, or uniform."""
-    pools = ([0.0, 1.0, 2.0], [-INF, -1e300, -1.0, 0.0, 1.0, 1e300, INF], None)
-    out = [WeightedGraph(["a", "b", "c"]), parse_graph("a b 1\nb c 1\nz\n")]
+    """Graphs on 1 to 9 vertices: edgeless, complete, with isolated vertices, and with
+    weights from a pool of ties, one of +-inf and +-1e300, one holding both signed
+    zeros, or uniform. The third fixed graph would show a moved -0.0 edge as 0.0."""
+    pools = ([0.0, 1.0, 2.0], [-INF, -1e300, -1.0, 0.0, 1.0, 1e300, INF], [-1.0, -0.0, 0.0, 1.0], None)
+    out = [
+        WeightedGraph(["a", "b", "c"]),
+        parse_graph("a b 1\nb c 1\nz\n"),
+        parse_graph("a c 0\na e -0\nb c 0\nd e 0\n"),
+    ]
     for i in range(count):
         vs = [f"v{j}" for j in range(rng.randint(1, 9))]
-        density = 1.0 if i % 4 == 0 else rng.random()
-        pool = pools[i % 3]
+        density = 1.0 if i % 5 == 0 else rng.random()
+        pool = pools[i % len(pools)]
         ws = {
             e: rng.choice(pool) if pool else round(rng.uniform(0.0, 10.0), 2)
             for e in combinations(vs, 2)
@@ -228,6 +234,18 @@ class TestEdgeCollapse:
     def test_keeps_diagrams_property(self, g):
         check_collapse(g)
         check_collapse(_negated_completion(g))
+
+    @pytest.mark.parametrize("max_dim", range(4))
+    def test_of_graph_is_the_full_pair(self, max_dim):
+        # The entry reduces the collapsed descending side; the full pair is the referee.
+        for g in collapse_graphs(random.Random(23), 300):
+            got = ExtendedPersistence.of_graph(g, max_dim)
+            want = ExtendedPersistence(extended_pair(g, max_dim + 1), max_dim)
+            for a, b in ((got.ascending, want.ascending), (got.descending, want.descending)):
+                assert a == b and repr(a) == repr(b), sorted(g.weight.items())
+            assert got.critical_values == want.critical_values
+            assert repr(got.critical_values) == repr(want.critical_values)
+            assert dumps(extended_to_doc(got)) == dumps(extended_to_doc(want))
 
     def test_shrinks_a_dominated_edge(self):
         # In the triangle abc with ab last, c dominates ab: ab is dropped.

@@ -204,7 +204,7 @@ class TestDiagramDocs:
             pair = extended_pair(parse_graph(text + "".join(f"{v}\n" for v in labels)), max_dim + 1)
             ext = ExtendedPersistence(pair, max_dim)
             coords = serialize.sample_coordinates(pair.ascending.critical_values())
-            doc = serialize.extended_to_doc(ext, coords)
+            doc = serialize.extended_to_doc(ext)
             want = {r: (coords, ext.grid(r, coords)) for r in range(max_dim + 1)}
             for grids in (doc["grids"], json.loads(serialize.dumps(doc))["grids"]):
                 got = serialize.grids_from_json(grids)

@@ -4,6 +4,8 @@
 
 All emitters are deterministic (fixed key order, sorted content), so repeated runs on the
 same input are byte-identical. The infinity sentinels travel as the strings "inf" and "-inf".
+`dumps` writes the grid rows of an extended document as text, byte-identical to
+json.dumps(indent=2), whose pure-Python encoder would take them one item at a time.
 `read_document` tells CSV, diagram JSON and an extended document apart, and checks each.
 """
 
@@ -51,7 +53,38 @@ def _list(v, what: str) -> list:
     return v
 
 
+_ENCODER = json.JSONEncoder(allow_nan=False)
+_ROWS = "\x00grid rows\x00"  # stands for a grid's "values" while the rest of the document is dumped
+
+
+def _grid_rows(grid) -> str | None:
+    """grid["values"] as json.dumps(indent=2) writes it in an extended document (rows at 8
+    spaces, items at 10), from the first item to the last, made from the C encoder's text of
+    each row; None unless it is a nonempty list of nonempty rows of numbers, bools and None."""
+    values = grid.get("values") if isinstance(grid, dict) else None
+    if not isinstance(values, list) or not values:
+        return None
+    try:
+        rows = [_ENCODER.encode(row) for row in values]
+    except (TypeError, ValueError, RecursionError):
+        return None  # json.dumps raises it again, where the document holds it
+    if any(t.count("[") != 1 or t == "[]" or "{" in t or '"' in t for t in rows):
+        return None  # ", " splits the items only when none is a string or a container
+    return "\n        ],\n        [\n          ".join(t[1:-1].replace(", ", ",\n          ") for t in rows)
+
+
 def dumps(doc) -> str:
+    """json.dumps(doc, indent=2, allow_nan=False) and a newline. The grid rows of an extended
+    document are written as text, byte-identical to json.dumps(indent=2), not item by item."""
+    grids = doc.get("grids") if isinstance(doc, dict) else None
+    rows = [_grid_rows(g) for g in grids] if isinstance(grids, list) else []
+    spliced = [r for r in rows if r is not None]
+    if spliced:
+        skeleton = {**doc, "grids": [g if r is None else {**g, "values": _ROWS} for g, r in zip(grids, rows)]}
+        head, *tails = json.dumps(skeleton, indent=2, allow_nan=False).split(json.dumps(_ROWS))
+        if len(tails) == len(spliced):  # else a string of the document is the placeholder
+            rest = (s for r, t in zip(spliced, tails) for s in ("[\n        [\n          ", r, "\n        ]\n      ]", t))
+            return "".join([head, *rest, "\n"])
     return json.dumps(doc, indent=2, allow_nan=False) + "\n"
 
 

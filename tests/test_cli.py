@@ -203,7 +203,8 @@ class TestPersist:
 
         g = parse_graph(text)
         want = serialize.extended_to_doc(ExtendedPersistence(extended_pair(g, 2), 1))
-        assert out == serialize.dumps(want) and '"death": -0.0' in out
+        assert out == serialize.dumps(want) == json.dumps(want, indent=2, allow_nan=False) + "\n"
+        assert '"death": -0.0' in out
         for h in (g, _negated_completion(g)):
             assert repr(sorted(_edge_collapse(h).weight.items())) == repr(sorted(h.weight.items()))
 

@@ -1,3 +1,4 @@
+import copy
 import json
 import random
 import sys
@@ -119,6 +120,18 @@ class TestFilteredDocs:
                 serialize.filtered_from_doc(doc)
 
 
+def extended_graphs():
+    """Seeded 7-vertex graphs whose weights tie and hold 0.0, -0.0 and ±1e300."""
+    for seed in range(6):
+        rng = random.Random(f"extended-grids:{seed}")
+        labels = [f"v{i}" for i in range(7)]
+        text = "".join(
+            f"{a} {b} {rng.choice(['-0', '0', '1e300', '-1e300', '0.25', '1.5', '-2'])}\n"
+            for a, b in combinations(labels, 2) if rng.random() < 0.5
+        )
+        yield parse_graph(text + "".join(f"{v}\n" for v in labels))
+
+
 class TestDiagramDocs:
     def test_round_trip(self):
         d = PersistenceDiagram(1, [(0.0, 2.0), (-INF, 1.0)], [3.0, -INF])
@@ -194,14 +207,8 @@ class TestDiagramDocs:
     def test_extended_grids_round_trip(self, max_dim):
         # Weights hold both signed zeros and values near the float range, so the
         # coordinates must come back repr for repr, through the JSON text as well.
-        for seed in range(6):
-            rng = random.Random(f"extended-grids:{seed}")
-            labels = [f"v{i}" for i in range(7)]
-            text = "".join(
-                f"{a} {b} {rng.choice(['-0', '0', '1e300', '-1e300', '0.25', '1.5', '-2'])}\n"
-                for a, b in combinations(labels, 2) if rng.random() < 0.5
-            )
-            pair = extended_pair(parse_graph(text + "".join(f"{v}\n" for v in labels)), max_dim + 1)
+        for g in extended_graphs():
+            pair = extended_pair(g, max_dim + 1)
             ext = ExtendedPersistence(pair, max_dim)
             coords = serialize.sample_coordinates(pair.ascending.critical_values())
             doc = serialize.extended_to_doc(ext)
@@ -255,3 +262,56 @@ class TestDiagramDocs:
         d = PersistenceDiagram(0, [(0.0, 1.0)])
         doc = serialize.diagram_to_doc(d)
         assert serialize.dumps(doc) == serialize.dumps(doc)
+
+
+def _grid_docs():
+    """Hand-made documents with "grids": the shapes the row writer takes and every one it leaves
+    to json.dumps (strings, containers and empty rows in a row, a "values" or a grid of
+    another kind, a string equal to its placeholder), around keys json.dumps escapes."""
+    def grids(*values):
+        return [{"dimension": r, "coordinates": [0.0, 1.0], "values": v} for r, v in enumerate(values)]
+
+    return [
+        {"grids": grids([[True, False], [False, True]], [[-0.0, 1e300], [0.5, -1e300]], [[None, None]])},
+        {"grids": grids([[0, 1, 2], [3, 4, 5], [6, 7, 8]], [[7]]), "ascending": [], "descending": []},
+        {"grids": grids([["a, b", 1], [2, 3]], [[1, 2], [3, 4]])},
+        {"grids": grids([[1, 2], [3, 4]]), "note": serialize._ROWS},
+        {"grids": grids([[1, 2], [3, 4]], [[0, 1], [1, 0]]), serialize._ROWS: [serialize._ROWS]},
+        {"grids": grids([[[1, 2], [3]], [4, 5]], [[1, {"a": 2}], [3, 4]], [[0, 0], []], [], [[1], 2])},
+        {"grids": grids("[[1, 2]]", [(1, 2), (3, 4)], 5) + [7, None, [[1, 2]]]},
+        {"grids": {"dimension": 0, "values": [[1, 2], [3, 4]]}},
+        {"grids": [{"values": [[1, 2]]}, {"values": [[1, 2]]}]},
+        {"é\n\"\\": "ü\u2028", "grids": grids([[1, 0], [0, 1]]), "z\t": [{"x": -0.0}, "\x00"]},
+        {"a": {"grids": grids([[1, 2]])}, "grids": grids([[3, 4], [5, 6]]), "b": [[1, 2], [3, 4]]},
+    ]
+
+
+class TestDumps:
+    """`dumps` is json.dumps(indent=2, allow_nan=False) and a newline, on every document."""
+
+    @staticmethod
+    def _check(doc):
+        before = copy.deepcopy(doc)
+        assert serialize.dumps(doc) == json.dumps(doc, indent=2, allow_nan=False) + "\n"
+        assert doc == before and repr(doc) == repr(before)
+
+    @pytest.mark.parametrize("max_dim", range(4))
+    def test_extended_documents(self, max_dim):
+        for g in extended_graphs():
+            self._check(serialize.extended_to_doc(ExtendedPersistence.of_graph(g, max_dim)))
+
+    @pytest.mark.parametrize("doc", _grid_docs())
+    def test_hand_made_documents(self, doc):
+        self._check(doc)
+
+    @pytest.mark.parametrize("bad", [INF, -INF, float("nan")], ids=["inf", "-inf", "nan"])
+    def test_out_of_range_floats_raise_as_json_dumps_does(self, bad):
+        for values in ([[1, 2], [3, bad]], [[bad]]):
+            doc = {"grids": [{"dimension": 0, "values": [[0]]}, {"dimension": 1, "values": values}]}
+            before = copy.deepcopy(doc)
+            with pytest.raises(ValueError) as want:
+                json.dumps(doc, indent=2, allow_nan=False)
+            with pytest.raises(ValueError) as got:
+                serialize.dumps(doc)
+            assert str(got.value) == str(want.value)
+            assert repr(doc) == repr(before)

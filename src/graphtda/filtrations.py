@@ -15,11 +15,9 @@ Sentinels order totally: -inf < every finite value < +inf.
 from __future__ import annotations
 
 import math
-from bisect import insort
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations, groupby
-from operator import itemgetter
+from itertools import combinations
 from types import MappingProxyType
 from typing import Mapping
 
@@ -188,57 +186,52 @@ def extended_pair(g: WeightedGraph, max_dim: int | None = None) -> ExtendedPair:
 
 
 def _edge_collapse(g: WeightedGraph) -> WeightedGraph:
-    """A graph on some of g's edges whose clique filtration has the diagrams
-    of g's, once zero-persistence pairs are dropped.
+    """A subgraph of g, with g's weights, whose clique filtration has the
+    diagrams of g's, once zero-persistence pairs are dropped.
 
     The filtered edge collapse of Boissonnat and Pritam ("Edge collapse and
-    persistence of flag complexes", SoCG 2020), run backward as by Glisse and
-    Pritam ("Swap, shift and trim to edge collapse a filtration", SoCG 2022).
-    The edges in (weight, label) order each have a slot, their position. They
-    are taken from the last to the first. While edge uv at slot i is taken,
-    the graph at slot s >= i holds the edges at slots up to i and the kept
-    later edges at slots up to s. There uv is dominated when some vertex w
-    other than u and v has N[u] & N[v] inside N[w] (closed neighbourhoods):
-    the clique complex then collapses onto the one without uv. Only a new
-    neighbour of u or v can end that, so uv is tested at slot i and then at
-    the slots of the kept edges at u or v, ascending. It is kept at the first
-    slot where it is not dominated, with that slot's weight, and dropped if it
-    is dominated at each. Edges only move later, and the first edge at a
-    vertex is never dominated, so H0 and the vertex values stay as they were.
+    persistence of flag complexes", SoCG 2020), run backward to trim edges as
+    by Glisse and Pritam ("Swap, shift and trim to edge collapse a
+    filtration", SoCG 2022). The edges in (weight, label) order each have a
+    slot, their position. They are taken from the last to the first. While
+    edge uv at slot i is taken, the graph at slot s >= i holds the edges at
+    slots up to i and the kept later edges at slots up to s. There uv is
+    dominated when some vertex w other than u and v has N[u] & N[v] inside
+    N[w] (closed neighbourhoods): the clique complex then collapses onto the
+    one without uv. Only a new neighbour of u or v can end that, so uv is
+    tested at slot i and then at the slots of the kept edges at u or v,
+    ascending. It is dropped if it is dominated at each, and kept with its
+    own weight otherwise. The first edge at a vertex is never dominated, so
+    H0 and the vertex values stay as they were.
 
-    The weights are kept up to ==, but a moved edge can take a zero of the
-    other sign, so a graph whose weights hold both 0.0 and -0.0 is returned
-    unchanged.
+    A dropped edge can change which simplex a zero birth or death is read
+    from, and so its sign, so a graph whose weights hold both 0.0 and -0.0
+    is returned unchanged.
     """
     _require_weighted(g, "_edge_collapse")
     if len({math.copysign(1.0, w) for w in g.weight.values() if w == 0}) == 2:
         return g
     adj, w = _tables(g)
     order = sorted((t, a, b) for a, row in enumerate(w) for b, t in row.items() if a < b)
-    ends = [(a, b) for _, a, b in order]
     base = [adj[i] | 1 << i for i in range(len(adj))]  # closed neighbourhoods over the untaken edges
-    kept: list[tuple[int, int, int]] = []  # (slot, a, b), ascending
-    for i in range(len(ends) - 1, -1, -1):
-        a, b = ends[i]
+    kept: list[tuple[float, int, int]] = []  # (weight, a, b), last slot first
+    for t, a, b in reversed(order):
         ab = 1 << a | 1 << b
-        nbhd = base[:]  # the graph at slot i
+        nbhd = base[:]  # the graph at this edge's slot
         base[a] ^= 1 << b
         base[b] ^= 1 << a
-        at, later = i, groupby(kept, key=itemgetter(0))
+        later = reversed(kept)
         while any(nbhd[a] & nbhd[b] & ~nbhd[w] == 0 for w in _bits(nbhd[a] & nbhd[b] & ~ab)):
-            # Dominated: move on to the next slot at which a or b gains a neighbour.
-            for at, edges in later:
-                touched = False
-                for _, x, y in edges:
-                    nbhd[x] |= 1 << y
-                    nbhd[y] |= 1 << x
-                    touched |= (1 << x | 1 << y) & ab != 0
-                if touched:
+            # Dominated: add the kept edges up to the next one at a or b.
+            for _, x, y in later:
+                nbhd[x] |= 1 << y
+                nbhd[y] |= 1 << x
+                if (1 << x | 1 << y) & ab:
                     break
             else:
                 break  # dominated at every slot: dropped
         else:
-            insort(kept, (at, a, b))
+            kept.append((t, a, b))
     labels = g.vertices
-    weights = {(labels[a], labels[b]): order[slot][0] for slot, a, b in kept}
+    weights = {(labels[a], labels[b]): t for t, a, b in kept}
     return WeightedGraph(labels, weights.keys(), weights)

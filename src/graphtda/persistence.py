@@ -103,7 +103,8 @@ class PersistenceDiagram:
         self.essential = tuple(EssentialPoint(b, m) for b, m in sorted(ess.items()))
 
     def rank(self, u: float, v: float) -> int:
-        """Classes born by u and still alive strictly after v."""
+        """Classes born by u and still alive strictly after v (`_real` reads both)."""
+        u, v = _real(u, "u"), _real(v, "v")
         alive = sum(p.multiplicity for p in self.points if p.birth <= u and p.death > v)
         alive += sum(e.multiplicity for e in self.essential if e.birth <= u)
         return alive
@@ -270,7 +271,9 @@ class ExtendedPersistence:
         return cls(ExtendedPair(ascending, filter_clique(_edge_collapse(_negated_completion(g)), cap)), max_dim)
 
     def _degree(self, r: int):
-        """The (ascending, descending) rank tables of degree r."""
+        """The (ascending, descending) rank tables of degree r, an int (no bool)."""
+        if isinstance(r, bool) or not isinstance(r, int):
+            raise ValueError(f"degree must be an int (not a bool), got {r!r}")
         if not 0 <= r <= self.max_dim:
             raise ValueError(f"degree {r} outside computed range 0..{self.max_dim}")
         return self._tables[r]
@@ -282,8 +285,10 @@ class ExtendedPersistence:
         queries the descending one at (-u, -v). On the diagonal the ascending
         branch applies but its rank is undefined, so the sublevel Betti number
         at u is returned; it is the limit of the rank as v decreases to u.
+        `_real` reads u and v, so NaN is refused.
         """
         above, below = self._degree(r)
+        u, v = _real(u, "u"), _real(v, "v")
         if u > v:
             births, deaths, table = below
             return table[bisect_right(births, -u)][bisect_right(deaths, -v)]
@@ -293,6 +298,7 @@ class ExtendedPersistence:
     def grid(self, r: int, coords: list[float]) -> list[list[int]]:
         """pbn(r, u, v) for u and v over coords, one row per u."""
         (up_births, up_deaths, up), (down_births, down_deaths, down) = self._degree(r)
+        coords = [_real(c, "coordinate") for c in coords]
         up_cols = [bisect_right(up_deaths, v) for v in coords]
         down_cols = [bisect_right(down_deaths, -v) for v in coords]
         values = []

@@ -127,17 +127,16 @@ def render_extended_grid(coords: list[float], values: list[list[int]]) -> str:
     scale = _Scale(coords[0], coords[-1])
     vmax = max((v for row in values for v in row), default=0)
     bounds = [coords[0], *(midpoint(a, b) for a, b in zip(coords, coords[1:])), coords[-1]]
+    xs = [scale.x(b) for b in bounds]
+    ys = [scale.y(b) for b in bounds]
     body = []
-    for i, u in enumerate(coords):
-        for j, _v in enumerate(coords):
-            val = values[i][j]
+    for i, row in enumerate(values):
+        x0, x1 = xs[i], xs[i + 1]
+        for j, val in enumerate(row):
             shade = 0.0 if vmax == 0 else val / vmax
             red = round(255 - 200 * shade)
             green = round(255 - 170 * shade)
-            x0 = scale.x(bounds[i])
-            x1 = scale.x(bounds[i + 1])
-            y0 = scale.y(bounds[j + 1])
-            y1 = scale.y(bounds[j])
+            y0, y1 = ys[j + 1], ys[j]
             body.append(
                 f'<rect x="{_fmt(x0)}" y="{_fmt(y0)}" width="{_fmt(x1 - x0)}" '
                 f'height="{_fmt(y1 - y0)}" fill="rgb({red},{green},255)"/>'

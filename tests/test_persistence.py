@@ -358,6 +358,26 @@ class TestExtended:
             with pytest.raises(ValueError, match="outside computed range"):
                 ext.grid(r, [0.0, 1.0])
 
+    def test_queries_refuse_nan_and_non_int_degrees(self):
+        ext = ExtendedPersistence.of_graph(parse_graph("a b 1\nb c 2\na c 3"), 1)
+        nan = float("nan")
+        for query in (
+            lambda: ext.pbn(0, nan, 1.0),
+            lambda: ext.pbn(0, 1.0, nan),
+            lambda: ext.grid(0, [nan, 1.0]),
+            lambda: ext.ascending[0].rank(nan, 0.5),
+            lambda: ext.ascending[0].rank(0.5, nan),
+        ):
+            with pytest.raises(ValueError, match="is NaN"):
+                query()
+        for r in (True, False, 0.0, "0", None):
+            with pytest.raises(ValueError, match="degree must be an int"):
+                ext.pbn(r, 1.0, 2.0)
+            with pytest.raises(ValueError, match="degree must be an int"):
+                ext.grid(r, [1.0, 2.0])
+        assert ext.pbn(0, 1, 2) == ext.pbn(0, 1.0, 2.0)
+        assert ext.grid(1, [1, 3]) == ext.grid(1, [1.0, 3.0])
+
     def test_grid_matches_pointwise_queries(self):
         # Unsorted coordinates with repeats, both signed zeros and both
         # infinities; each cell against pbn and against the scanning rank.

@@ -37,7 +37,7 @@ CONSTRUCTIONS = tuple(sorted([*_FILTERED, "independent"]))
 
 def _read_text(path: str) -> str:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             return fh.read()
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from None

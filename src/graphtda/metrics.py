@@ -60,20 +60,6 @@ def dhat(p: Point, q: Point) -> float:
     return min(direct, max(_half_persistence(p), _half_persistence(q)))
 
 
-def _expand_points(d: PersistenceDiagram) -> list[Point]:
-    out: list[Point] = []
-    for p in d.points:
-        out.extend([(p.birth, p.death)] * p.multiplicity)
-    return out
-
-
-def _expand_essential(d: PersistenceDiagram) -> list[float]:
-    out: list[float] = []
-    for e in d.essential:
-        out.extend([e.birth] * e.multiplicity)
-    return out
-
-
 def _covers(adjacency: dict[int, list[int]], right_size: int) -> bool:
     """Whether one matching covers every source, a key of ``adjacency``.
 
@@ -150,9 +136,8 @@ def _distances(p: Point, others: list[Point], births: list[float], c: float) -> 
 
 
 def _proper_bottleneck(pts1: list[Point], pts2: list[Point]) -> float:
-    # Each side is sorted by birth, so the points within sup-norm distance c
-    # of a point are one window of births, tested on deaths.
-    pts1, pts2 = sorted(pts1), sorted(pts2)
+    # Each side arrives sorted by birth, so the points within sup-norm distance
+    # c of a point are one window of births, tested on deaths.
     births1, deaths1 = [p[0] for p in pts1], [p[1] for p in pts1]
     births2, deaths2 = [q[0] for q in pts2], [q[1] for q in pts2]
     diag1 = [_half_persistence(p) for p in pts1]
@@ -197,13 +182,17 @@ def bottleneck(d1: PersistenceDiagram, d2: PersistenceDiagram) -> float:
                 f"diagram of degree {d.dimension} has {size} points counting multiplicity, "
                 f"above the bottleneck limit of {MAX_POINTS}"
             )
-    ess1 = sorted(_expand_essential(d1))
-    ess2 = sorted(_expand_essential(d2))
+    # The copies come in the diagram's order, sorted and repeated by multiplicity:
+    # sorted essential births match in order, and _proper_bottleneck reads
+    # windows of sorted births.
+    ess1, ess2 = ([e.birth for e in d.essential for _ in range(e.multiplicity)] for d in (d1, d2))
     if len(ess1) != len(ess2):
         return INF
     ess_cost = max((_coord_diff(a, b) for a, b in zip(ess1, ess2)), default=0.0)
-    proper_cost = _proper_bottleneck(_expand_points(d1), _expand_points(d2))
-    return max(ess_cost, proper_cost)
+    pts1, pts2 = (
+        [(p.birth, p.death) for p in d.points for _ in range(p.multiplicity)] for d in (d1, d2)
+    )
+    return max(ess_cost, _proper_bottleneck(pts1, pts2))
 
 
 def pseudodistance_iso(g1: WeightedGraph, g2: WeightedGraph) -> float:

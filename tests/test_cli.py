@@ -694,6 +694,40 @@ class TestUsage:
             assert code == 2 and out == "", (args, err)
             assert err.startswith(f"error: {p}: ") and "utf-8" in err, (args, err)
 
+    def test_leading_byte_order_mark_is_skipped(self, tmp_path, capsys):
+        # Windows Notepad starts a UTF-8 file with U+FEFF. Left in the text, it
+        # made a phantom vertex "\ufeffb", and a JSON document read as CSV.
+        plain, marked = tmp_path / "plain", tmp_path / "marked"
+        plain.mkdir(), marked.mkdir()
+        (plain / "g.txt").write_text("b c 1\na b 2\na c 3\nc d 4\n")
+        (plain / "h.txt").write_text("a b 1\nb c 5\na c 2\n")
+        for args, name in (
+            (["persist", "g.txt"], "d.json"),
+            (["persist", "h.txt", "--format", "csv"], "d.csv"),
+            (["persist", "g.txt", "--extended", "--max-dim", "1"], "e.json"),
+        ):
+            code, out, _ = run([args[0], str(plain / args[1]), *args[2:]], capsys)
+            assert code == 0
+            (plain / name).write_text(out)
+        for p in plain.iterdir():
+            (marked / p.name).write_bytes(b"\xef\xbb\xbf" + p.read_bytes())
+        for args in (
+            ["build", "g.txt"],
+            ["build", "g.txt", "--extended"],
+            ["persist", "g.txt"],
+            ["persist", "g.txt", "--format", "csv"],
+            ["persist", "g.txt", "--extended", "--max-dim", "1"],
+            ["distance", "d.json", "d.csv", "--dimension", "0"],
+            ["distance", "d.csv", "d.json", "--dimension", "1"],
+            ["plot", "d.json"],
+            ["plot", "d.csv", "--dimension", "0"],
+            ["plot", "e.json", "--dimension", "1"],
+        ):
+            without, with_mark = (
+                run([str(folder / a) if "." in a else a for a in args], capsys) for folder in (plain, marked)
+            )
+            assert without[0] == 0 and with_mark == without, args
+
     def test_missing_input_file(self, capsys):
         code, _, err = run(["build", "/nonexistent/file.txt"], capsys)
         assert code == 2

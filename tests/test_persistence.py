@@ -35,6 +35,22 @@ def fc_from_values(values: dict) -> FilteredComplex:
     return FilteredComplex(SimplicialComplex(values.keys()), values)
 
 
+@pytest.mark.parametrize(
+    "value, text",
+    [
+        (parse_graph("a b 1\n"), "WeightedGraph(2 vertices, 1 edges)"),
+        (SimplicialComplex([("a",), ("b",), ("a", "b")]), "SimplicialComplex(3 simplices, dim 1)"),
+        (filter_clique(parse_graph("a b 1\n")), "FilteredComplex(3 simplices)"),
+        (PersistenceDiagram(0, [(0, 1)], [2]), "PersistenceDiagram(dim=0, points=[DiagramPoint("
+         "birth=0.0, death=1.0, multiplicity=1)], essential=[EssentialPoint(birth=2.0, multiplicity=1)])"),
+    ],
+    ids=["graph", "complex", "filtered", "diagram"],
+)
+def test_equality_with_another_type_and_repr(value, text):
+    assert (value == object()) is False and (value != object()) is True
+    assert repr(value) == text
+
+
 class TestDiagramType:
     def test_merging_and_sorting(self):
         d = PersistenceDiagram(0, [(0, 1), (0, 1), (0, 2)], [3.0, 3.0])

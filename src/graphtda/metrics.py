@@ -6,7 +6,14 @@ points costing at most c have a matching that covers, on each side, every point
 whose half-persistence exceeds c; the other points retire to the diagonal. A
 forced point's partners at c are the points within sup-norm distance c, so
 each side is sorted by birth and read in windows of births; no cost matrix is
-built. The candidates are 0, the half-persistences and the sup-norm distances
+built. A probe reads a point's window lazily, at its own c, only as far as its
+matching search needs. Each probe starts from the matchings of the last
+infeasible one, which every later probe exceeds, so each kept pair still
+costs at most c; pairs whose point is no longer forced are dropped. That is
+exact: augmenting paths from every unmatched forced point decide whether a
+covering matching exists whatever matching they start from (Berge). A
+feasible probe's matchings are never kept, since later probes are smaller.
+The candidates are 0, the half-persistences and the sup-norm distances
 of pairs closer than the larger of their two half-persistences, so each point
 reads them from its window at its own half-persistence. Essential points
 match only among themselves at cost |birth - birth'|; when the essential
@@ -28,11 +35,11 @@ INF = float("inf")
 _UNBOUNDED = sys.float_info.max
 
 # Points per diagram, multiplicities counted, above which bottleneck refuses.
-# The cost grows about as the square of this count. Two independent diagrams,
-# births U[0, 100) and persistence U[0.5, 30) from random.Random(3), take
-# 0.61-0.72 s and 27 MB of max RSS through `graphtda distance` at 1000 points
-# each, and 1.4-2.2 s (median 1.9 s) and 57 MB at 2000: 5 and 12 separate
-# processes, Python 3.11, 2 CPUs.
+# The candidate set, and with it the cost, grows about as the square of this
+# count. Two independent diagrams, births U[0, 100) and persistence U[0.5, 30)
+# from random.Random(3), take 0.34-0.46 s (median 0.37 s) and 25 MB of max RSS
+# through `graphtda distance` at 1000 points each, and 0.67-1.04 s (median
+# 0.77 s) and 51 MB at 2000: 12 separate processes each, Python 3.11, 2 CPUs.
 MAX_POINTS = 2000
 
 Point = tuple[float, float]
@@ -60,21 +67,40 @@ def dhat(p: Point, q: Point) -> float:
     return min(direct, max(_half_persistence(p), _half_persistence(q)))
 
 
-def _covers(adjacency: dict[int, list[int]], right_size: int) -> bool:
-    """Whether one matching covers every source, a key of ``adjacency``.
+def _covers(
+    points: list[Point],
+    diag: list[float],
+    births: list[float],
+    deaths: list[float],
+    c: float,
+    match: list[int],
+) -> bool:
+    """Whether one matching covers every forced point, extending ``match`` in place.
 
-    Kuhn's augmenting paths, each tried only when the source has no free
-    neighbour to take at once. The alternating path lives on an explicit
-    stack, not the interpreter's.
+    Point i is forced when its half-persistence diag[i] exceeds c. ``match[j]``
+    is the forced point that point j of the other side is matched to, or -1.
+    A forced point's partners are the other side's points within sup-norm
+    distance c, read lazily from its window of ``births`` and tested on
+    ``deaths``. Kuhn's augmenting paths, each tried only when an unmatched
+    forced point has no free partner to take at once. The alternating path
+    lives on an explicit stack, not the interpreter's.
     """
-    match_right = [-1] * right_size
-    for s, row in adjacency.items():
-        v = next((v for v in row if match_right[v] < 0), -1)
-        if v >= 0:
-            match_right[v] = s
+
+    def partners(i: int):
+        b, d = points[i]
+        lo, hi = _window(births, b, c)
+        return (j for j in range(lo, hi) if abs(deaths[j] - d) <= c or deaths[j] == d)
+
+    matched = set(match)
+    for s, h in enumerate(diag):
+        if h <= c or s in matched:
             continue
-        seen = [False] * right_size
-        stack, via = [(s, iter(row))], [-1]  # via[k]: right vertex into stack[k]
+        v = next((v for v in partners(s) if match[v] < 0), -1)
+        if v >= 0:
+            match[v] = s
+            continue
+        seen = [False] * len(match)
+        stack, via = [(s, partners(s))], [-1]  # via[k]: right vertex into stack[k]
         while stack:
             v = next((v for v in stack[-1][1] if not seen[v]), -1)
             if v < 0:
@@ -83,12 +109,12 @@ def _covers(adjacency: dict[int, list[int]], right_size: int) -> bool:
                 continue
             seen[v] = True
             via.append(v)
-            w = match_right[v]
+            w = match[v]
             if w < 0:
                 for (u, _), r in zip(stack, via[1:]):
-                    match_right[r] = u
+                    match[r] = u
                 break
-            stack.append((w, iter(adjacency[w])))
+            stack.append((w, partners(w)))
         else:
             return False
     return True
@@ -115,13 +141,6 @@ def _window(keys: list[float], x: float, c: float) -> tuple[int, int]:
     return lo, hi
 
 
-def _neighbours(p: Point, births: list[float], deaths: list[float], c: float) -> list[int]:
-    """Indices j of the points (births[j], deaths[j]) within sup-norm distance c of p."""
-    b, d = p
-    lo, hi = _window(births, b, c)
-    return [j for j, e in enumerate(deaths[lo:hi], lo) if abs(e - d) <= c or e == d]
-
-
 def _distances(p: Point, others: list[Point], births: list[float], c: float) -> list[float]:
     """Sup-norm distances from p to the points of others within c of it; births are theirs."""
     b, d = p
@@ -143,6 +162,12 @@ def _proper_bottleneck(pts1: list[Point], pts2: list[Point]) -> float:
     diag1 = [_half_persistence(p) for p in pts1]
     diag2 = [_half_persistence(q) for q in pts2]
 
+    # kept[0] matches the points of pts2 to forced points of pts1, kept[1] the
+    # points of pts1 to forced points of pts2: the matchings of the largest
+    # infeasible probe so far, which every later probe exceeds.
+    sides = ((pts1, diag1, births2, deaths2), (pts2, diag2, births1, deaths1))
+    kept = [[-1] * len(pts2), [-1] * len(pts1)]
+
     def feasible(c: float) -> bool:
         # A point with half-persistence at most c may retire to the diagonal;
         # the others are forced. c is feasible iff the pairs costing at most c
@@ -152,11 +177,19 @@ def _proper_bottleneck(pts1: list[Point], pts2: list[Point]) -> float:
         # Mendelsohn-Dulmage, M exists iff each side's forced points can be
         # covered on their own. A pair with a forced point has max(hp, hq) > c,
         # so it costs at most c iff its sup-norm distance does.
-        rows = {i: _neighbours(p, births2, deaths2, c) for i, p in enumerate(pts1) if diag1[i] > c}
-        if not _covers(rows, len(pts2)):
-            return False
-        cols = {j: _neighbours(q, births1, deaths1, c) for j, q in enumerate(pts2) if diag2[j] > c}
-        return _covers(cols, len(pts1))
+        # Each side starts from its kept matching, less the pairs whose point
+        # is no longer forced: every kept pair costs less than c, so the rest
+        # is a matching of forced points at c. If an unmatched forced point has
+        # no augmenting path, no matching covers them all, since the symmetric
+        # difference with one that did would hold such a path.
+        trial = []
+        for (pts, diag, births, deaths), match in zip(sides, kept):
+            match = [i if i >= 0 and diag[i] > c else -1 for i in match]
+            trial.append(match)
+            if not _covers(pts, diag, births, deaths, c, match):
+                kept[: len(trial)] = trial
+                return False
+        return True
 
     # The optimum is 0, a finite half-persistence or the sup-norm distance of a
     # pair closer than the larger of its half-persistences, since a farther

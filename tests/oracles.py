@@ -325,6 +325,66 @@ def oracle_bottleneck(d1, d2) -> float:
     return max(ess_best, best)
 
 
+def _perfect_matching(allowed) -> bool:
+    """Whether the square 0/1 matrix ``allowed`` has a perfect matching.
+
+    Kuhn's recursive augmenting paths from an empty matching, every row in turn.
+    """
+    n = len(allowed)
+    owner = [-1] * n
+
+    def augment(r: int, seen: set) -> bool:
+        for col in range(n):
+            if allowed[r][col] and col not in seen:
+                seen.add(col)
+                if owner[col] < 0 or augment(owner[col], seen):
+                    owner[col] = r
+                    return True
+        return False
+
+    return all(augment(r, set()) for r in range(n))
+
+
+def oracle_bottleneck_by_matching(d1, d2) -> float:
+    """Smallest entry of the augmented cost matrix that admits a perfect matching.
+
+    Rows are the points of d1, its essential classes and one diagonal slot per
+    point of d2; columns are the points of d2, its essential classes and one
+    diagonal slot per point of d1. A point reaches another point at their
+    sup-norm distance and its own diagonal slot at its half-persistence, an
+    essential class reaches another at the distance of their births, any two
+    diagonal slots meet at 0, and every other entry is +inf. The distinct
+    entries are bisected, each tested by a perfect matching built from scratch.
+    """
+    pts1, ess1 = _expand(d1)
+    pts2, ess2 = _expand(d2)
+    if len(ess1) != len(ess2):
+        return INF
+    n1, n2, e = len(pts1), len(pts2), len(ess1)
+    size = n1 + e + n2
+    cost = [[INF] * size for _ in range(size)]
+    for i, p in enumerate(pts1):
+        for j, q in enumerate(pts2):
+            cost[i][j] = max(_diff(p[0], q[0]), _diff(p[1], q[1]))
+        cost[i][n2 + e + i] = _half(p)
+    for i, a in enumerate(ess1):
+        for j, b in enumerate(ess2):
+            cost[n1 + i][n2 + j] = _diff(a, b)
+    for j, q in enumerate(pts2):
+        cost[n1 + e + j][j] = _half(q)
+        for i in range(n1):
+            cost[n1 + e + j][n2 + e + i] = 0.0
+    entries = sorted({x for row in cost for x in row})
+    lo, hi = 0, len(entries) - 1  # entries[hi] admits every pair, so it is feasible
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if _perfect_matching([[x <= entries[mid] for x in row] for row in cost]):
+            hi = mid
+        else:
+            lo = mid + 1
+    return entries[lo] if entries else 0.0
+
+
 def oracle_pseudodistance(g1, g2) -> float:
     """Minimum weight discrepancy over every vertex permutation that is an isomorphism."""
     if len(g1.vertices) != len(g2.vertices):

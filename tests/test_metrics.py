@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from graphtda import WeightedGraph, bottleneck, dhat, parse_graph, pseudodistance_iso
 from graphtda.persistence import PersistenceDiagram
-from oracles import oracle_bottleneck, oracle_pseudodistance
+from oracles import oracle_bottleneck, oracle_bottleneck_by_matching, oracle_pseudodistance
 from randutil import random_diagram, random_weighted_graph
 
 INF = float("inf")
@@ -175,6 +175,61 @@ class TestBottleneck:
             assert bottleneck(d1, d2) == 0.25
         finally:
             sys.setrecursionlimit(limit)
+
+    def test_matches_augmented_matrix_referee_on_larger_pairs(self):
+        # 8-40 points a side, past the exhaustive oracle's reach, so the
+        # bisection takes many probes and each probe after an infeasible one
+        # starts from a kept matching. Three kinds of pair: independent uniform
+        # ones, tie-heavy integer lattices with -inf births, +inf deaths and
+        # essential classes, and perturbed copies, whose answer is small.
+        rng = random.Random(73)
+
+        def uniform_diagram():
+            points = []
+            for _ in range(rng.randint(8, 40)):
+                b = rng.uniform(0.0, 20.0)
+                points.append((b, b + rng.uniform(0.1, 8.0)))
+            return PersistenceDiagram(1, points)
+
+        def lattice_diagram(infinite):
+            # infinite = (points dying at +inf, points born at -inf, essential
+            # classes), shared by both sides of a pair so that most answers are
+            # finite.
+            up, down, essential = infinite
+            points = [(rng.randint(0, 12), INF) for _ in range(up)]
+            points += [(-INF, rng.randint(0, 12)) for _ in range(down)]
+            for _ in range(rng.randint(8, 40) - up - down):
+                b = rng.randint(0, 12)
+                points.append((b, b + rng.randint(1, 6)))
+            return PersistenceDiagram(1, points, [rng.randint(0, 6) for _ in range(essential)])
+
+        def infinite_counts():
+            return rng.randint(0, 2), rng.randint(0, 2), rng.randint(0, 2)
+
+        def perturbed(d):
+            # Finite points move by up to one unit, and one in ten shrinks to a
+            # bar of length 0.5; the others stay.
+            points = []
+            for p in d.points:
+                for _ in range(p.multiplicity):
+                    b, e = p.birth, p.death
+                    if -INF < b and e < INF:
+                        b += rng.choice([0.0, 0.5, 1.0, -1.0])
+                        e = b + 0.5 if rng.random() < 0.1 else max(e + rng.choice([0.0, 0.5, -0.5]), b + 0.5)
+                    points.append((b, e))
+            essential = [e.birth for e in d.essential for _ in range(e.multiplicity)]
+            return PersistenceDiagram(1, points, essential)
+
+        pairs = [(uniform_diagram(), uniform_diagram()) for _ in range(80)]
+        for _ in range(80):
+            counts = infinite_counts()
+            pairs.append((lattice_diagram(counts), lattice_diagram(counts)))
+        for _ in range(80):
+            d = lattice_diagram(infinite_counts()) if rng.random() < 0.5 else uniform_diagram()
+            pairs.append((d, perturbed(d)))
+        for d1, d2 in pairs:
+            expected = oracle_bottleneck_by_matching(d1, d2)
+            assert bottleneck(d1, d2) == bottleneck(d2, d1) == expected, (d1, d2)
 
     def test_metric_axioms_on_random_triples(self):
         rng = random.Random(43)

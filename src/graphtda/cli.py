@@ -113,7 +113,7 @@ def cmd_persist(args) -> str:
         _check_extended(args.construction)
         if args.format != "json":
             raise UsageError("extended output carries PBN grids and is JSON only")
-        return serialize.dumps(serialize.extended_to_doc(ExtendedPersistence.of_graph(g, args.max_dim)))
+        return serialize.extended_json(ExtendedPersistence.of_graph(g, args.max_dim))
     if args.construction == "independent":
         raise UsageError(
             "independent sets reverse inclusion and admit no weight filtration; "

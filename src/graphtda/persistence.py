@@ -248,7 +248,9 @@ class ExtendedPersistence:
 
     Each diagram's ranks are tabulated once, so a query is two bisections.
     `serialize.extended_to_doc` samples its lattice from `critical_values`, the ascending
-    side's: with edges in (cap >= 1) the descending side's are these, negated.
+    side's: for a graph's pair they are its distinct finite edge weights, every value at which
+    either side's ranks change. The descending side `of_graph` builds is edge-collapsed and
+    holds only some of them, negated.
     """
 
     def __init__(self, pair: ExtendedPair, max_dim: int):

@@ -4,8 +4,6 @@
 
 All emitters are deterministic (fixed key order, sorted content), so repeated runs on the
 same input are byte-identical. The infinity sentinels travel as the strings "inf" and "-inf".
-`dumps` writes the grid rows of an extended document as text, byte-identical to
-json.dumps(indent=2), whose pure-Python encoder would take them one item at a time.
 `read_document` tells CSV, diagram JSON and an extended document apart, and checks each.
 """
 
@@ -53,38 +51,8 @@ def _list(v, what: str) -> list:
     return v
 
 
-_ENCODER = json.JSONEncoder(allow_nan=False)
-_ROWS = "\x00grid rows\x00"  # stands for a grid's "values" while the rest of the document is dumped
-
-
-def _grid_rows(grid) -> str | None:
-    """grid["values"] as json.dumps(indent=2) writes it in an extended document (rows at 8
-    spaces, items at 10), from the first item to the last, made from the C encoder's text of
-    each row; None unless it is a nonempty list of nonempty rows of numbers, bools and None."""
-    values = grid.get("values") if isinstance(grid, dict) else None
-    if not isinstance(values, list) or not values:
-        return None
-    try:
-        rows = [_ENCODER.encode(row) for row in values]
-    except (TypeError, ValueError, RecursionError):
-        return None  # json.dumps raises it again, where the document holds it
-    if any(t.count("[") != 1 or t == "[]" or "{" in t or '"' in t for t in rows):
-        return None  # ", " splits the items only when none is a string or a container
-    return "\n        ],\n        [\n          ".join(t[1:-1].replace(", ", ",\n          ") for t in rows)
-
-
 def dumps(doc) -> str:
-    """json.dumps(doc, indent=2, allow_nan=False) and a newline. The grid rows of an extended
-    document are written as text, byte-identical to json.dumps(indent=2), not item by item."""
-    grids = doc.get("grids") if isinstance(doc, dict) else None
-    rows = [_grid_rows(g) for g in grids] if isinstance(grids, list) else []
-    spliced = [r for r in rows if r is not None]
-    if spliced:
-        skeleton = {**doc, "grids": [g if r is None else {**g, "values": _ROWS} for g, r in zip(grids, rows)]}
-        head, *tails = json.dumps(skeleton, indent=2, allow_nan=False).split(json.dumps(_ROWS))
-        if len(tails) == len(spliced):  # else a string of the document is the placeholder
-            rest = (s for r, t in zip(spliced, tails) for s in ("[\n        [\n          ", r, "\n        ]\n      ]", t))
-            return "".join([head, *rest, "\n"])
+    """json.dumps(doc, indent=2, allow_nan=False) and a newline."""
     return json.dumps(doc, indent=2, allow_nan=False) + "\n"
 
 
@@ -235,6 +203,20 @@ def extended_to_doc(ext: ExtendedPersistence) -> dict:
             for r in range(ext.max_dim + 1)
         ],
     }
+
+
+def extended_json(ext: ExtendedPersistence) -> str:
+    """dumps(extended_to_doc(ext)), with each grid row written from the C encoder's text, not
+    one item at a time by the pure-Python encoder of indent=2: rows at 8 spaces, ints at 10."""
+    doc = extended_to_doc(ext)
+    # No other value in the document is null, so this splits once per grid, in order.
+    head, *tails = dumps({**doc, "grids": [{**g, "values": None} for g in doc["grids"]]}).split('"values": null')
+    parts = [head]
+    for g, tail in zip(doc["grids"], tails):
+        rows = "\n        ],\n        [\n          ".join(
+            json.dumps(row)[1:-1].replace(", ", ",\n          ") for row in g["values"])
+        parts += ['"values": [\n        [\n          ', rows, "\n        ]\n      ]", tail]
+    return "".join(parts)
 
 
 def grids_from_json(grids) -> dict[int, tuple[list[float], list[list[int]]]]:

@@ -25,7 +25,7 @@ from graphtda import (
 )
 from graphtda.filtrations import _edge_collapse, _filtered, _negated_completion
 from graphtda.persistence import ExtendedPersistence, PersistenceDiagram
-from graphtda.serialize import dumps, extended_to_doc
+from graphtda.serialize import dumps, extended_json, extended_to_doc
 from oracles import SmallestTOracle, oracle_diagrams
 from randutil import (
     random_complex,
@@ -247,7 +247,7 @@ class TestEdgeCollapse:
                 assert a == b and repr(a) == repr(b), sorted(g.weight.items())
             assert got.critical_values == want.critical_values
             assert repr(got.critical_values) == repr(want.critical_values)
-            assert dumps(extended_to_doc(got)) == dumps(extended_to_doc(want))
+            assert extended_json(got) == dumps(extended_to_doc(want))
 
     def test_of_graph_at_the_benchmark_size(self):
         # A G(24, m) graph at density 0.3 with weights uniform on [0, 100), the shape
@@ -262,7 +262,7 @@ class TestEdgeCollapse:
         for max_dim in range(3):
             want = ExtendedPersistence(extended_pair(g, max_dim + 1), max_dim)
             got = ExtendedPersistence.of_graph(g, max_dim)
-            assert dumps(extended_to_doc(got)) == dumps(extended_to_doc(want)), max_dim
+            assert extended_json(got) == dumps(extended_to_doc(want)), max_dim
 
     def test_shrinks_a_dominated_edge(self):
         # In the triangle abc with ab last, c dominates ab: ab is dropped.

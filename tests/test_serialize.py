@@ -1,5 +1,5 @@
-import copy
 import json
+import math
 import random
 import sys
 from itertools import combinations
@@ -213,7 +213,7 @@ class TestDiagramDocs:
             coords = serialize.sample_coordinates(pair.ascending.critical_values())
             doc = serialize.extended_to_doc(ext)
             want = {r: (coords, ext.grid(r, coords)) for r in range(max_dim + 1)}
-            for grids in (doc["grids"], json.loads(serialize.dumps(doc))["grids"]):
+            for grids in (doc["grids"], json.loads(serialize.extended_json(ext))["grids"]):
                 got = serialize.grids_from_json(grids)
                 assert got == want and repr(got) == repr(want)
 
@@ -264,54 +264,20 @@ class TestDiagramDocs:
         assert serialize.dumps(doc) == serialize.dumps(doc)
 
 
-def _grid_docs():
-    """Hand-made documents with "grids": the shapes the row writer takes and every one it leaves
-    to json.dumps (strings, containers and empty rows in a row, a "values" or a grid of
-    another kind, a string equal to its placeholder), around keys json.dumps escapes."""
-    def grids(*values):
-        return [{"dimension": r, "coordinates": [0.0, 1.0], "values": v} for r, v in enumerate(values)]
-
-    return [
-        {"grids": grids([[True, False], [False, True]], [[-0.0, 1e300], [0.5, -1e300]], [[None, None]])},
-        {"grids": grids([[0, 1, 2], [3, 4, 5], [6, 7, 8]], [[7]]), "ascending": [], "descending": []},
-        {"grids": grids([["a, b", 1], [2, 3]], [[1, 2], [3, 4]])},
-        {"grids": grids([[1, 2], [3, 4]]), "note": serialize._ROWS},
-        {"grids": grids([[1, 2], [3, 4]], [[0, 1], [1, 0]]), serialize._ROWS: [serialize._ROWS]},
-        {"grids": grids([[[1, 2], [3]], [4, 5]], [[1, {"a": 2}], [3, 4]], [[0, 0], []], [], [[1], 2])},
-        {"grids": grids("[[1, 2]]", [(1, 2), (3, 4)], 5) + [7, None, [[1, 2]]]},
-        {"grids": {"dimension": 0, "values": [[1, 2], [3, 4]]}},
-        {"grids": [{"values": [[1, 2]]}, {"values": [[1, 2]]}]},
-        {"é\n\"\\": "ü\u2028", "grids": grids([[1, 0], [0, 1]]), "z\t": [{"x": -0.0}, "\x00"]},
-        {"a": {"grids": grids([[1, 2]])}, "grids": grids([[3, 4], [5, 6]]), "b": [[1, 2], [3, 4]]},
-    ]
-
-
 class TestDumps:
-    """`dumps` is json.dumps(indent=2, allow_nan=False) and a newline, on every document."""
-
-    @staticmethod
-    def _check(doc):
-        before = copy.deepcopy(doc)
-        assert serialize.dumps(doc) == json.dumps(doc, indent=2, allow_nan=False) + "\n"
-        assert doc == before and repr(doc) == repr(before)
+    """`extended_json` writes what `dumps` writes: json.dumps(indent=2, allow_nan=False) and a newline."""
 
     @pytest.mark.parametrize("max_dim", range(4))
     def test_extended_documents(self, max_dim):
-        for g in extended_graphs():
-            self._check(serialize.extended_to_doc(ExtendedPersistence.of_graph(g, max_dim)))
-
-    @pytest.mark.parametrize("doc", _grid_docs())
-    def test_hand_made_documents(self, doc):
-        self._check(doc)
-
-    @pytest.mark.parametrize("bad", [INF, -INF, float("nan")], ids=["inf", "-inf", "nan"])
-    def test_out_of_range_floats_raise_as_json_dumps_does(self, bad):
-        for values in ([[1, 2], [3, bad]], [[bad]]):
-            doc = {"grids": [{"dimension": 0, "values": [[0]]}, {"dimension": 1, "values": values}]}
-            before = copy.deepcopy(doc)
-            with pytest.raises(ValueError) as want:
-                json.dumps(doc, indent=2, allow_nan=False)
-            with pytest.raises(ValueError) as got:
-                serialize.dumps(doc)
-            assert str(got.value) == str(want.value)
-            assert repr(doc) == repr(before)
+        one_vertex = parse_graph("a\n")
+        at_2_53 = parse_graph(f"a b {2**53}\nb c 1\nd\n")
+        edgeless = parse_graph("a\nb\nc\n")
+        for g in (*extended_graphs(), one_vertex, at_2_53, edgeless):
+            ext = ExtendedPersistence.of_graph(g, max_dim)
+            text = serialize.extended_json(ext)
+            assert text == json.dumps(serialize.extended_to_doc(ext), indent=2, allow_nan=False) + "\n"
+            coords = json.loads(text)["grids"][0]["coordinates"]
+            if g is one_vertex or g is edgeless:
+                assert coords == [0.0, 1.0]
+            if g is at_2_53:  # 2**53 + 1 rounds back to 2**53
+                assert coords[-1] == math.nextafter(2.0**53, INF)

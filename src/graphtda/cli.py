@@ -11,7 +11,7 @@ import argparse
 import contextlib
 import sys
 
-from . import serialize, svg
+from . import metrics, serialize, svg
 from .complexes import independent_complex
 from .filtrations import extended_pair, filter_clique, filter_enclaveless, filter_neighborhood
 from .graphs import GraphParseError, WeightedGraph, parse_graph
@@ -147,11 +147,9 @@ def _select_diagram(path: str, dimension: int | None) -> PersistenceDiagram:
 
 
 def cmd_distance(args) -> str:
-    from .metrics import bottleneck
-
     d1 = _select_diagram(args.first, args.dimension)
     d2 = _select_diagram(args.second, args.dimension)
-    return f"{bottleneck(d1, d2)}\n"
+    return f"{metrics.bottleneck(d1, d2)}\n"
 
 
 def cmd_plot(args) -> str:

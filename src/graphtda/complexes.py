@@ -11,7 +11,7 @@ from functools import cached_property
 from itertools import combinations
 from typing import Iterable
 
-from .graphs import WeightedGraph, complement, edge
+from .graphs import WeightedGraph, _count, complement, edge
 
 Simplex = tuple[str, ...]
 NEG_INF = float("-inf")
@@ -80,11 +80,12 @@ class SimplicialComplex:
     def from_facets(
         cls, facets: Iterable[Iterable[str]], max_dim: int | None = None
     ) -> "SimplicialComplex":
-        """Downward closure of the given simplices, optionally capped at max_dim."""
+        """Downward closure of the given simplices, capped at max_dim unless None (`_count` reads it)."""
+        cap = None if max_dim is None else _count(max_dim, "max_dim", 0) + 1
         out: set[Simplex] = set()
         for f in facets:
             base = simplex(f)
-            top = len(base) if max_dim is None else min(len(base), max_dim + 1)
+            top = len(base) if cap is None else min(len(base), cap)
             for k in range(1, top + 1):
                 out.update(combinations(base, k))
         return cls._from_ordered(sorted(sorted(out), key=len))
@@ -170,10 +171,11 @@ def _levelwise(g: WeightedGraph, w: list[dict[int, float]], roots, grow, max_dim
     passed every vertex outside s, it lists the cofaces of s. Only the states
     of the current level are held, and the last level keeps none. Labels are
     sorted, so index order is label order and every tuple comes out canonical.
+    `_count` reads max_dim, unless None, for every construction and filtration.
     """
     labels = g.vertices
     above = [(1 << len(labels)) - (2 << i) for i in range(len(labels))]
-    top = len(labels) if max_dim is None else max_dim + 1  # vertices in the largest simplex
+    top = len(labels) if max_dim is None else _count(max_dim, "max_dim", 0) + 1  # vertices in the largest simplex
     level = [((i,), min(w[i].values(), default=NEG_INF), state) for i, state in roots]
     order: list[Simplex] = []
     values: list[float] = []

@@ -31,7 +31,7 @@ from .complexes import (
     _neighborhood_family,
     _tables,
 )
-from .graphs import WeightedGraph, _real, _signed
+from .graphs import WeightedGraph, _real, _require_weighted, _signed
 
 INF = float("inf")
 
@@ -104,11 +104,6 @@ class FilteredComplex:
 
     def __repr__(self) -> str:
         return f"FilteredComplex({len(self._levels)} simplices)"
-
-
-def _require_weighted(g: WeightedGraph, what: str):
-    if not g.is_weighted:
-        raise ValueError(f"{what} requires a fully weighted graph")
 
 
 def _filtered(family: Family) -> FilteredComplex:

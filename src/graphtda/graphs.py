@@ -1,4 +1,5 @@
-"""Weighted-graph data model, edge-list parsing and graph-level constructions."""
+"""Weighted-graph data model, edge-list parsing, graph-level constructions, and the input rules
+every module reads, one wording each: `_real`, `_count` and `_require_weighted`."""
 
 from __future__ import annotations
 
@@ -31,6 +32,22 @@ def _real(x, *what) -> float:
             return x
         raise ValueError(f"{''.join(map(str, what))} is NaN")
     raise ValueError(f"{''.join(map(str, what))} must be an int or a float (not a bool), got {x!r}")
+
+
+def _count(v, what: str, least: int) -> int:
+    """v, if it is an int >= least (a bool is refused) that converts to a float."""
+    if isinstance(v, bool) or not isinstance(v, int) or v < least:
+        raise ValueError(f"{what} must be an int >= {least}, got {v!r}")
+    try:
+        float(v)
+    except OverflowError:
+        raise ValueError(f"{what} is an integer too large for a float") from None
+    return v
+
+
+def _require_weighted(g: WeightedGraph, what: str):
+    if not g.is_weighted:
+        raise ValueError(f"{what} requires a fully weighted graph")
 
 
 def _signed(x: float) -> tuple[float, float]:
@@ -197,8 +214,7 @@ def threshold_subgraph(g: WeightedGraph, t: float) -> WeightedGraph:
     Vertices are kept even when isolated at level t, so callers decide
     separately when a vertex enters a filtration.
     """
-    if not g.is_weighted:
-        raise ValueError("threshold_subgraph requires a fully weighted graph")
+    _require_weighted(g, "threshold_subgraph")
     kept = {e: w for e, w in g.weight.items() if w <= t}
     return WeightedGraph(g.vertices, kept.keys(), kept)
 

@@ -27,7 +27,7 @@ import math
 import sys
 from bisect import bisect_left, bisect_right
 
-from .graphs import WeightedGraph, edge, isomorphisms
+from .graphs import WeightedGraph, _require_weighted, edge, isomorphisms
 from .persistence import PersistenceDiagram
 
 INF = float("inf")
@@ -235,8 +235,8 @@ def pseudodistance_iso(g1: WeightedGraph, g2: WeightedGraph) -> float:
     corresponding edges; +inf when the graphs are not isomorphic. Exhaustive,
     intended for small graphs.
     """
-    if not (g1.is_weighted and g2.is_weighted):
-        raise ValueError("pseudodistance_iso requires fully weighted graphs")
+    _require_weighted(g1, "pseudodistance_iso")
+    _require_weighted(g2, "pseudodistance_iso")
     best = INF
     for psi in isomorphisms(g1, g2):
         cost = 0.0

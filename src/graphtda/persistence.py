@@ -31,7 +31,7 @@ from typing import Iterable
 
 from .complexes import SimplicialComplex
 from .filtrations import ExtendedPair, FilteredComplex, _edge_collapse, _negated_completion, filter_clique
-from .graphs import WeightedGraph, _real
+from .graphs import WeightedGraph, _count, _real
 
 
 @dataclass(frozen=True, order=True)
@@ -45,17 +45,6 @@ class DiagramPoint:
 class EssentialPoint:
     birth: float
     multiplicity: int = 1
-
-
-def _count(v, what: str, least: int) -> int:
-    """v, if it is an int >= least (a bool is refused) that converts to a float."""
-    if isinstance(v, bool) or not isinstance(v, int) or v < least:
-        raise ValueError(f"{what} must be an int >= {least}, got {v!r}")
-    try:
-        float(v)
-    except OverflowError:
-        raise ValueError(f"{what} is an integer too large for a float") from None
-    return v
 
 
 def _proper(points: Iterable[tuple[float, float]]) -> None:
@@ -142,7 +131,7 @@ def _bitmask(rows: list[int]) -> int:
 
 
 def reduce(fc: FilteredComplex, max_dim: int) -> list[PersistenceDiagram]:
-    """Persistence diagrams of fc for degrees 0..max_dim.
+    """Persistence diagrams of fc for degrees 0..max_dim, a count that `_count` reads.
 
     Reduces the coboundary matrix over the two-element field in one loop
     over degrees from 0 upward; for a fixed total order its pairs are those
@@ -166,8 +155,7 @@ def reduce(fc: FilteredComplex, max_dim: int) -> list[PersistenceDiagram]:
     (max_dim + 1)-simplices: a complex built with a dimension cap at or below
     max_dim has no killers for that degree, so classes report as essential.
     """
-    if max_dim < 0:
-        raise ValueError("max_dim must be nonnegative")
+    _count(max_dim, "max_dim", 0)
     k, faces, levels = fc.complex, fc.complex._faces, fc._levels
     dead = bytearray(len(levels))  # 1 for a simplex paired as a death
     cols = sorted(range(*k._block(0)), key=levels.__getitem__)[::-1]  # youngest first
@@ -262,21 +250,19 @@ class ExtendedPersistence:
 
     @classmethod
     def of_graph(cls, g: WeightedGraph, max_dim: int) -> ExtendedPersistence:
-        """Extended persistence of g in degrees 0..max_dim, as `persist --extended` runs it.
+        """Extended persistence of g in degrees 0..max_dim, a `_count`, as `persist --extended` runs it.
 
         Both sides are capped at max_dim + 1, which keeps every degree exact. The descending
         side is the clique filtration of the edge-collapsed negated completion: it has the
         diagrams of the full capped simplex that `extended_pair` builds, on fewer simplices.
         """
-        cap = max_dim + 1
+        cap = _count(max_dim, "max_dim", 0) + 1
         ascending = filter_clique(g, cap)
         return cls(ExtendedPair(ascending, filter_clique(_edge_collapse(_negated_completion(g)), cap)), max_dim)
 
     def _degree(self, r: int):
-        """The (ascending, descending) rank tables of degree r, an int (no bool)."""
-        if isinstance(r, bool) or not isinstance(r, int):
-            raise ValueError(f"degree must be an int (not a bool), got {r!r}")
-        if not 0 <= r <= self.max_dim:
+        """The (ascending, descending) rank tables of degree r, a `_count` up to max_dim."""
+        if _count(r, "degree", 0) > self.max_dim:
             raise ValueError(f"degree {r} outside computed range 0..{self.max_dim}")
         return self._tables[r]
 

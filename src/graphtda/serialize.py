@@ -15,8 +15,8 @@ from typing import Iterable
 
 from .complexes import SimplicialComplex, simplex
 from .filtrations import FilteredComplex
-from .graphs import _real
-from .persistence import DiagramPoint, EssentialPoint, ExtendedPersistence, PersistenceDiagram, _count, _proper
+from .graphs import _count, _real
+from .persistence import DiagramPoint, EssentialPoint, ExtendedPersistence, PersistenceDiagram, _proper
 
 
 class DocumentError(ValueError):

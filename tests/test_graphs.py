@@ -1,25 +1,35 @@
+import ast
+import inspect
 import math
 import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import graphtda
 from graphtda import (
     DiagramPoint,
     EssentialPoint,
+    ExtendedPersistence,
     FilteredComplex,
     GraphParseError,
     PersistenceDiagram,
     SimplicialComplex,
     WeightedGraph,
+    betti_numbers,
+    clique_complex,
     complement,
     csusp,
     edge,
+    extended_pair,
+    filter_clique,
     format_graph,
     isomorphisms,
     isusp,
     parse_graph,
+    reduce,
     serialize,
     threshold_subgraph,
 )
@@ -163,6 +173,104 @@ def test_one_rule_reads_every_real_value(entry, value):
     else:
         held = store(_ACCEPTED[value])
         assert type(held) is float and held == float(_ACCEPTED[value])
+
+
+_TRIANGLE = "a b 1\nb c 2\na c 3"
+# The arguments before max_dim of every entry point that takes one.
+_COUNT_ARGS = {
+    **{name: lambda: (parse_graph(_TRIANGLE),) for name in (
+        "clique_complex", "neighborhood_complex", "enclaveless_complex", "independent_complex",
+        "filter_clique", "filter_neighborhood", "filter_enclaveless", "extended_pair",
+        "ExtendedPersistence.of_graph",
+    )},
+    "reduce": lambda: (filter_clique(parse_graph(_TRIANGLE)),),
+    "betti_numbers": lambda: (clique_complex(parse_graph(_TRIANGLE)),),
+    "ExtendedPersistence": lambda: (extended_pair(parse_graph(_TRIANGLE)),),
+    "SimplicialComplex.from_facets": lambda: ([("a", "b", "c")],),
+}
+_BAD_COUNTS = {"True": True, "False": False, "1.0": 1.0, "'1'": "1", "-1": -1, "10**400": 10**400}
+
+
+def _count_message(what, value):
+    if value == 10**400:
+        return f"^{what} is an integer too large for a float$"
+    return f"^{re.escape(f'{what} must be an int >= 0, got {value!r}')}$"
+
+
+def _takes_max_dim():
+    """Every callable in graphtda.__all__, and every public method of a class there, that takes max_dim."""
+    found = {}
+    for name in graphtda.__all__:
+        obj = getattr(graphtda, name)
+        members = [(name, obj)]
+        if isinstance(obj, type):
+            members += [(f"{name}.{m}", getattr(obj, m)) for m in vars(obj) if not m.startswith("_")]
+        for label, f in members:
+            try:
+                if callable(f) and "max_dim" in inspect.signature(f).parameters:
+                    found[label] = f
+            except (TypeError, ValueError):  # no signature, as for the alias Simplex
+                pass
+    return found
+
+
+_MAX_DIM_ENTRIES = _takes_max_dim()
+
+
+def test_every_max_dim_entry_point_is_checked():
+    assert sorted(_MAX_DIM_ENTRIES) == sorted(_COUNT_ARGS) and len(_COUNT_ARGS) == 13
+
+
+def _extended():
+    return ExtendedPersistence.of_graph(parse_graph(_TRIANGLE), 1)
+
+
+# Each reader takes one count n; the second entry is the name its message gives n.
+_COUNT_READERS = {
+    **{e: (lambda n, e=e: f(*_COUNT_ARGS[e](), max_dim=n), "max_dim") for e, f in _MAX_DIM_ENTRIES.items()},
+    "from_facets of no facet": (lambda n: SimplicialComplex.from_facets([], max_dim=n), "max_dim"),
+    "pbn degree": (lambda n: _extended().pbn(n, 1.0, 2.0), "degree"),
+    "grid degree": (lambda n: _extended().grid(n, [1.0, 2.0]), "degree"),
+}
+
+
+@pytest.mark.parametrize("entry, value", [(e, v) for e in sorted(_COUNT_READERS) for v in _BAD_COUNTS])
+def test_one_rule_reads_every_count(entry, value):
+    """max_dim at every entry point, and a query's degree, read by one rule: an int >= 0, not
+    a bool, that converts to a float."""
+    read, what = _COUNT_READERS[entry]
+    with pytest.raises(ValueError, match=_count_message(what, _BAD_COUNTS[value])):
+        read(_BAD_COUNTS[value])
+
+
+def test_valid_counts_keep_their_results():
+    g = parse_graph(_TRIANGLE)
+    edges = [("a",), ("b",), ("c",), ("a", "b"), ("a", "c"), ("b", "c")]
+    assert clique_complex(g, None) == SimplicialComplex([*edges, ("a", "b", "c")])
+    assert clique_complex(g, 1) == SimplicialComplex(edges)
+    assert SimplicialComplex.from_facets([("a", "b", "c")], max_dim=0) == SimplicialComplex(edges[:3])
+    assert SimplicialComplex.from_facets([], max_dim=0) == SimplicialComplex.from_facets([]) == SimplicialComplex()
+    # a and b enter with ab at 1, c with bc at 2: one class for ever, and ac at 3 fills in at once.
+    assert reduce(filter_clique(g), 1) == [PersistenceDiagram(0, [], [1.0]), PersistenceDiagram(1)]
+    assert betti_numbers(clique_complex(g, 1), 1) == (1, 1)
+    ext = ExtendedPersistence.of_graph(g, 1)
+    assert ext.max_dim == 1 and list(ext.ascending) == reduce(filter_clique(g), 1)
+    assert ext.pbn(0, 1.0, 2.0) == ext.grid(0, [1.0, 2.0])[0][1] == 1
+
+
+def test_only_graphs_refuses_bools_and_unweighted_graphs():
+    """Refusing a bool and requiring weights are rules of graphs.py (`_real`, `_count`,
+    `_require_weighted`): no other module grows its own copy of one."""
+    found = set()
+    for path in sorted((Path(__file__).parent.parent / "src" / "graphtda").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            bool_test = (
+                isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "isinstance"
+                and len(node.args) == 2 and any(isinstance(n, ast.Name) and n.id == "bool" for n in ast.walk(node.args[1]))
+            )
+            if bool_test or isinstance(node, ast.Attribute) and node.attr == "is_weighted":
+                found.add(path.name if path.name == "graphs.py" else f"{path.name}:{node.lineno}")
+    assert found == {"graphs.py"}
 
 
 class TestConstructions:

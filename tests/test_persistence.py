@@ -368,10 +368,10 @@ class TestExtended:
     def test_degree_out_of_range(self):
         pair = extended_pair(parse_graph("a b 1"))
         ext = ExtendedPersistence(pair, 0)
-        for r in (-1, 1):
-            with pytest.raises(ValueError, match="outside computed range"):
+        for r, message in ((-1, "^degree must be an int >= 0, got -1$"), (1, "outside computed range")):
+            with pytest.raises(ValueError, match=message):
                 ext.pbn(r, 0.0, 1.0)
-            with pytest.raises(ValueError, match="outside computed range"):
+            with pytest.raises(ValueError, match=message):
                 ext.grid(r, [0.0, 1.0])
 
     def test_queries_refuse_nan_and_non_int_degrees(self):

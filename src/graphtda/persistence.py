@@ -10,7 +10,9 @@ time, sorted by value, and emits each pair as it is found. A column whose
 oldest coface no earlier column owns is paired at once, as every apparent
 pair is (Bauer, "Ripser", 2021), and its bitmask is built only if another
 column has to add it; on graph complexes that leaves few columns with any
-algebra.
+algebra. The first such bitmasks of a degree are kept, up to a budget of
+4 MB, and later ones are built anew at each use. A kept bitmask is the int
+a rebuild gives, so the diagrams do not depend on the budget.
 Conventions:
 
 * simplices are ordered by (value, dimension, vertex labels), so ties break
@@ -122,6 +124,12 @@ class PersistenceDiagram:
         )
 
 
+# Bytes of rebuilt bitmasks `reduce` keeps per degree, first come, as Ripser keeps
+# reduced columns under a bound. Keeping them all took over 1 GB more on a complex of
+# 595k simplices; 4 MB keeps most of the gain on the benchmark's clique graphs.
+_CACHE_BYTES = 4 << 20
+
+
 def _bitmask(rows: list[int]) -> int:
     """Column with bit j set for each row j."""
     col = 0
@@ -140,10 +148,14 @@ def reduce(fc: FilteredComplex, max_dim: int) -> list[PersistenceDiagram]:
     value: the (value, dimension, label) order restricted to d. Each block
     is sorted once, youngest first: it is degree d's rows, then degree
     (d+1)'s columns. A column's pivot, its oldest coface, is its top bit.
-    Columns whose simplex died one degree down are skipped (clearing); a
-    byte per simplex marks those deaths. A column whose pivot no earlier
-    column owns is already reduced: it is paired at once, and its bitmask is
-    built only when a later column lands on that pivot. Every apparent pair
+    Columns whose simplex died one degree down are skipped (clearing) and
+    get no coface list; a byte per simplex marks those deaths. A column
+    whose pivot no earlier column owns is already reduced: it is paired at
+    once, and its bitmask is built only when a later column lands on that
+    pivot. Such bitmasks are kept in the order they are built until the
+    kept ones of the degree reach `_CACHE_BYTES`; later ones are built anew
+    at each landing. A kept bitmask is the same int as a rebuilt one, so
+    the budget changes neither the pairs nor their order. Every apparent pair
     is such a column (tau is sigma's oldest coface and sigma is tau's
     youngest face), and on graph complexes most columns are. A column that
     keeps a pivot adds its point to the diagram of degree d unless birth and
@@ -162,16 +174,19 @@ def reduce(fc: FilteredComplex, max_dim: int) -> list[PersistenceDiagram]:
     diagrams = []
     for d in range(max_dim + 1):
         rows = sorted(range(*k._block(d + 1)), key=levels.__getitem__)[::-1]
-        lo = k._block(d)[0]
-        cofaces: list[list[int]] = [[] for _ in cols]  # by offset in the block; rows ascending
+        lo, hi = k._block(d)
+        # by offset in the block, rows ascending; a cleared column is never read
+        cofaces: list[list[int] | None] = [None if dead[t] else [] for t in range(lo, hi)]
         for j, t in enumerate(rows):
             for f in faces[t]:
-                cofaces[f - lo].append(j)
+                if (c := cofaces[f - lo]) is not None:
+                    c.append(j)
         # pivot row -> the column owning it: a reduced bitmask, or the coface list
-        # of a column paired at once. Such a list is turned into a bitmask anew
-        # each time another column lands on it, and never stored: over many rows
-        # those bitmasks would hold most of the memory.
+        # of a column paired at once. When another column lands on such a list, its
+        # bitmask is built and replaces it while the degree's budget has room, and
+        # is built anew at each landing after that. It is the same int either way.
         pivots: dict[int, int | list[int]] = {}
+        room = _CACHE_BYTES
         points: list[tuple[float, float]] = []
         essential: list[float] = []
         for p in cols:
@@ -190,6 +205,9 @@ def reduce(fc: FilteredComplex, max_dim: int) -> list[PersistenceDiagram]:
                     break
                 if other.__class__ is list:
                     other = _bitmask(other)
+                    if room > 0:
+                        pivots[j] = other
+                        room -= (j >> 3) + 32  # about the int's bytes: j bits and a header
                 if col.__class__ is list:
                     col = _bitmask(col)
                 col ^= other

@@ -15,6 +15,7 @@ from graphtda import (
     filter_neighborhood,
     parse_graph,
 )
+from graphtda import persistence
 from graphtda.filtrations import extended_pair
 from graphtda.persistence import (
     DiagramPoint,
@@ -287,6 +288,23 @@ class TestDiagramRankDuality:
                 assert tuple(d.total_essential for d in diagrams) == oracle_betti(k.simplices, cap)
 
 
+def count_bitmasks(monkeypatch) -> list[int]:
+    """Patch reduce's `_bitmask` with a spy; element 0 of the list returned counts its calls."""
+    calls, build = [0], persistence._bitmask
+
+    def spy(rows):
+        calls[0] += 1
+        return build(rows)
+
+    monkeypatch.setattr(persistence, "_bitmask", spy)
+    return calls
+
+
+# Budgets of reduce's cache of rebuilt bitmasks: none; one bitmask, since any positive
+# room admits one, so the cache is full partway through a degree; unbounded.
+CACHE_BUDGETS = (0, 1, 1 << 62)
+
+
 class TestAgainstTextbookReduction:
     def test_random_filtered_complexes(self):
         # Equal values, -inf and +inf blocks, and complexes capped below
@@ -316,14 +334,16 @@ class TestAgainstTextbookReduction:
                 ]
                 assert reduce(fc, max_dim) == expect, (case, max_dim, sorted(values.items()))
 
-    def test_every_family_on_the_persist_path(self):
+    def test_every_family_on_the_persist_path(self, monkeypatch):
         # persist reduces filter_*(g, cap) to degree cap - 1, here at caps 1-4 on tie-heavy
         # weights. A diagram merges (0.0, d) with (-0.0, d) and keeps the sign of the class
         # added first, which follows reduce's pair order, so repr is compared only where
-        # the weights hold at most one sign of zero.
+        # the weights hold at most one sign of zero. A bitmask reduce keeps is the int its
+        # coface list rebuilds to, so every budget of that cache gives the same repr.
         pool = (0.0, -0.0, 1.0, 2.5, -3.0, 1e300, -1e300, INF, -INF)
         rng = random.Random(2029)
         simplices = 0
+        calls, builds = count_bitmasks(monkeypatch), dict.fromkeys(CACHE_BUDGETS, 0)
         for _ in range(150):
             vs = [f"v{i}" for i in range(rng.randint(1, 7))]
             weights, density = rng.sample(pool, rng.randint(1, len(pool))), rng.random()
@@ -334,15 +354,46 @@ class TestAgainstTextbookReduction:
                 for cap in range(1, 5):
                     fc = family(g, cap)
                     simplices += len(fc)
-                    got = reduce(fc, cap - 1)
                     want = [
                         PersistenceDiagram(r, points, essential)
                         for r, (points, essential) in enumerate(oracle_diagrams(dict(fc.value), cap - 1))
                     ]
-                    assert got == want, (family.__name__, cap, sorted(ws.items()))
-                    if one_zero:
-                        assert repr(got) == repr(want), (family.__name__, cap, sorted(ws.items()))
+                    texts = set()
+                    for budget in CACHE_BUDGETS:
+                        monkeypatch.setattr(persistence, "_CACHE_BYTES", budget)
+                        calls[0] = 0
+                        got = reduce(fc, cap - 1)
+                        builds[budget] += calls[0]
+                        case = (budget, family.__name__, cap, sorted(ws.items()))
+                        assert got == want, case
+                        if one_zero:
+                            assert repr(got) == repr(want), case
+                        texts.add(repr(got))
+                    assert len(texts) == 1, case
         assert simplices > 10_000
+        assert builds[0] > builds[1] > builds[1 << 62], builds
+
+    def test_cache_at_the_benchmark_size(self, monkeypatch):
+        # perfbench's first ordinary clique graph of seed 1 by its recipe, G(76, m=1425) at
+        # cap 4: edges drawn by "clique:edges:0", weights uniform on [0, 100).
+        vs = [f"v{i:02d}" for i in range(76)]
+        pairs = list(combinations(vs, 2))
+        edges = sorted(random.Random("clique:edges:0").sample(pairs, round(0.5 * len(pairs))))
+        rng = random.Random("ordinary:1")
+        ws = {e: rng.uniform(0.0, 100.0) for e in edges}
+        fc = filter_clique(WeightedGraph(vs, ws.keys(), ws), 4)
+        calls, default = count_bitmasks(monkeypatch), persistence._CACHE_BYTES
+        builds, texts = {}, set()
+        for budget in (default, *CACHE_BUDGETS):
+            monkeypatch.setattr(persistence, "_CACHE_BYTES", budget)
+            calls[0] = 0
+            texts.add(repr(reduce(fc, 3)))
+            builds[budget] = calls[0]
+        assert len(texts) == 1
+        # 44,315 builds without the cache. The default budget saves most of them, and is
+        # reached: an unbounded cache saves more.
+        assert builds[0] == 44_315, builds
+        assert builds[0] > builds[1] > builds[default] > builds[1 << 62], builds
 
 
 class TestExtended:

@@ -9,6 +9,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from functools import cached_property
 from itertools import combinations
+from operator import itemgetter, le, lt
 from typing import Iterable
 
 from .graphs import WeightedGraph, _count, complement, edge
@@ -37,11 +38,16 @@ class SimplicialComplex:
     Stores the simplices as vertex tuples in canonical (dimension, label)
     order, for each the positions of its codimension-1 faces, and the block
     starts: `_starts[r]` is the position of the first r-simplex, r = 0..dim+1,
-    the one index of dimensions that every layer reads. Finding every face
-    checks downward closure. `simplices` (a frozenset) and `facets` are built
-    on first use and cached. The constructor canonicalises each simplex with
-    `simplex()` and sorts; `_from_ordered` takes tuples already canonical and
-    in order, as the enumerator emits them, and checks that order in one pass.
+    the one index of dimensions that every layer reads. The table is built one
+    block at a time: a face of a k-vertex simplex lies in the block below, so
+    each block looks its faces up in a position dict of that block alone, one
+    column of faces per dropped vertex, by C-level `map` and `zip` passes.
+    Finding every face checks downward closure. `simplices` (a frozenset) and
+    `facets` are built on first use and cached. The constructor canonicalises
+    each simplex with `simplex()` and sorts; `_from_ordered` takes tuples
+    already canonical and in order, as the enumerator emits them. Either way
+    the order is checked per block, and an error names the first simplex out
+    of order or missing a face, as a pass over the whole order would.
     """
 
     def __init__(self, simplices: Iterable[Iterable[str]] = ()):
@@ -50,27 +56,41 @@ class SimplicialComplex:
     @classmethod
     def _from_ordered(cls, order: list[Simplex]) -> "SimplicialComplex":
         """Complex of canonical tuples listed in strict (dimension, label) order."""
-        for a, b in zip(order, order[1:]):
-            if not (len(a), a) < (len(b), b):
-                raise ValueError(f"simplex {b} repeated or out of (dimension, label) order after {a}")
         k = cls.__new__(cls)
         k._build(order)
         return k
 
     def _build(self, order: list[Simplex]) -> None:
-        position = {s: i for i, s in enumerate(order)}
-        faces: list[tuple[int, ...]] = []
-        for s in order:
-            below = combinations(s, len(s) - 1) if len(s) > 1 else ()
+        lens = list(map(len, order))
+        top = lens[-1] if lens else 0  # dim + 1
+        starts = [bisect_left(lens, r + 1) for r in range(top + 1)]
+        blocks = [order[lo:hi] for lo, hi in zip([0, *starts], starts)]  # blocks[k]: k vertices each
+        if not (all(map(le, lens, lens[1:])) and all(all(map(lt, b, b[1:])) for b in blocks)):
+            for a, b in zip(order, order[1:]):  # name the first pair out of order
+                if not (len(a), a) < (len(b), b):
+                    raise ValueError(f"simplex {b} repeated or out of (dimension, label) order after {a}")
+        faces: list[tuple[int, ...]] = [()] * (starts[1] if top else len(order))
+        for k in range(2, top + 1):
+            # A face of a k-vertex simplex lies in the block below. One column
+            # of face positions per dropped index, in the order combinations()
+            # lists the faces: the last index first.
+            position = dict(zip(blocks[k - 1], range(starts[k - 2], starts[k - 1])))
+            coords = [list(map(itemgetter(i), blocks[k])) for i in range(k)]
             try:
-                faces.append(tuple([position[f] for f in below]))
-            except KeyError as exc:
-                f = exc.args[0]
-                raise ValueError(f"not closed under faces: {f} missing below {s}") from None
+                columns = [
+                    list(map(position.__getitem__, zip(*coords[:drop], *coords[drop + 1 :])))
+                    for drop in reversed(range(k))
+                ]
+            except KeyError:
+                for s in blocks[k]:  # name the first missing face, simplex by simplex
+                    for f in combinations(s, k - 1):
+                        if f not in position:
+                            raise ValueError(f"not closed under faces: {f} missing below {s}") from None
+                raise
+            faces.extend(zip(*columns))
         self._order = order
         self._faces = faces
-        top = len(order[-1]) if order else 0  # dim + 1
-        self._starts = [bisect_left(order, r + 1, key=len) for r in range(top + 1)]
+        self._starts = starts
 
     def _block(self, r: int) -> tuple[int, int]:
         """Positions lo..hi-1 of the r-simplices; empty when r is outside 0..dim."""

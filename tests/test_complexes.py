@@ -1,6 +1,7 @@
 import math
 import random
 import re
+from bisect import bisect_left
 from itertools import combinations
 from unittest import mock
 
@@ -142,6 +143,141 @@ class TestSimplicialComplex:
     @given(complexes(max_n=6))
     def test_structure_matches_definitions(self, k):
         assert_structure(k)
+
+
+def loop_face_table(order):
+    """The order check, face table and block starts as a per-simplex loop over
+    one position dict of the whole complex: the reference for
+    SimplicialComplex._build, which works one dimension block at a time."""
+    for a, b in zip(order, order[1:]):
+        if not (len(a), a) < (len(b), b):
+            raise ValueError(f"simplex {b} repeated or out of (dimension, label) order after {a}")
+    position = {s: i for i, s in enumerate(order)}
+    faces = []
+    for s in order:
+        below = combinations(s, len(s) - 1) if len(s) > 1 else ()
+        try:
+            faces.append(tuple([position[f] for f in below]))
+        except KeyError as exc:
+            f = exc.args[0]
+            raise ValueError(f"not closed under faces: {f} missing below {s}") from None
+    top = len(order[-1]) if order else 0  # dim + 1
+    return faces, [bisect_left(order, r + 1, key=len) for r in range(top + 1)]
+
+
+def _without(*gone):
+    return lambda order: [s for s in order if s not in gone]
+
+
+def _repeat(s):
+    return lambda order: order[: order.index(s) + 1] + order[order.index(s) :]
+
+
+def _swap(s, t):
+    def edit(order):
+        order = list(order)
+        i, j = order.index(s), order.index(t)
+        order[i], order[j] = t, s
+        return order
+
+    return edit
+
+
+# The full simplex on a..e: blocks of 5, 10, 10, 5 and 1 simplices.
+K5 = SimplicialComplex.from_facets([tuple("abcde")])._order
+MISSING, ORDER = "not closed under faces", "out of (dimension, label) order"
+
+
+class TestFaceTable:
+    def assert_table(self, k):
+        assert (k._faces, k._starts) == loop_face_table(k._order)
+
+    def test_every_construction_on_seeded_graphs(self):
+        rng = random.Random(34)
+        builds = (clique_complex, neighborhood_complex, enclaveless_complex, independent_complex)
+        top = set()
+        for _ in range(12):
+            g = random_weighted_graph(rng, min_n=1, max_n=11, p=(0.2, 0.95))
+            for build in builds:
+                for cap in range(1, 6):
+                    k = build(g, cap)
+                    self.assert_table(k)
+                    top.add(k.dim)
+        assert top >= {0, 1, 2, 3, 4, 5}
+
+    def test_through_the_constructor(self):
+        rng = random.Random(35)
+        for _ in range(20):
+            k = random_complex(rng, max_vertices=7, max_facets=6)
+            self.assert_table(SimplicialComplex(k.simplices))
+
+    @pytest.mark.parametrize(
+        "facets, max_dim",
+        [
+            ([], None),
+            ([("a",)], None),
+            ([tuple("abcd"), ("e",)], None),
+            ([("e",), tuple("abcd"), ("c", "f")], None),
+            ([tuple("abcde"), ("f",), ("f", "g")], 2),
+        ],
+        ids=["empty", "one-vertex", "vertex-beside-tetrahedron", "three-dimensions", "capped"],
+    )
+    def test_small_and_gapped_complexes(self, facets, max_dim):
+        self.assert_table(SimplicialComplex.from_facets(facets, max_dim))
+
+    def test_vertex_beside_tetrahedron(self):
+        k = SimplicialComplex.from_facets([tuple("abcd"), ("e",)])
+        assert k._starts == [0, 5, 11, 15, 16]
+        assert k._faces[:5] == [()] * 5
+        assert k._faces[5] == (0, 1)  # ab
+        assert k._faces[11] == (5, 6, 8)  # abc: ab, ac, bc
+        assert k._faces[15] == (11, 12, 13, 14)  # abcd: abc, abd, acd, bcd
+
+    @pytest.mark.parametrize(
+        "edit, kind",
+        [
+            (_without(("b", "d")), MISSING),
+            (_without(("a", "c", "e")), MISSING),
+            (_without(tuple("bcde")), MISSING),
+            # abcd lacks its last face, bcde its first: a column of first
+            # faces meets bcde before the last column meets abcd.
+            (_without(("b", "c", "d")), MISSING),
+            (_without(*[s for s in K5 if len(s) == 3]), MISSING),
+            (_without(("d", "e")), MISSING),
+            (_repeat(("a", "c", "d")), ORDER),
+            (_repeat(tuple("abde")), ORDER),
+            (_swap(tuple("abce"), tuple("abde")), ORDER),
+            (_swap(("a", "b", "c"), ("c", "d", "e")), ORDER),
+            (_swap(("c", "d", "e"), tuple("abcd")), ORDER),
+            (_repeat(("c", "d", "e")), ORDER),
+            (lambda order: order + [("d", "e")], ORDER),
+            (lambda order: _swap(tuple("abcd"), tuple("acde"))(_without(("b", "d"))(order)), ORDER),
+        ],
+        ids=[
+            "missing-edge-below-triangles",
+            "missing-triangle-below-tetrahedra",
+            "missing-tetrahedron-below-top",
+            "missing-face-first-in-column-order-last-in-simplex-order",
+            "missing-block",
+            "missing-last-edge-of-its-block",
+            "repeated-triangle",
+            "repeated-tetrahedron",
+            "swapped-tetrahedra",
+            "swapped-triangles-far-apart",
+            "triangle-after-tetrahedron-at-boundary",
+            "repeated-last-triangle-at-boundary",
+            "edge-after-top",
+            "order-error-after-missing-face",
+        ],
+    )
+    def test_error_matches_the_loop(self, edit, kind):
+        order = edit(list(K5))
+        with pytest.raises(ValueError) as want:
+            loop_face_table(order)
+        with pytest.raises(ValueError) as got:
+            SimplicialComplex._from_ordered(order)
+        assert kind in str(want.value)
+        assert str(got.value) == str(want.value)
 
 
 class TestCliqueComplex:
